@@ -119,9 +119,12 @@ def _parse_flat_config(text: str, origin: str) -> dict[str, dict[str, str]]:
 
 def _parse_float(text: str, what: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ValidationError(f"{what}: expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"{what}: expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_int(text: str, what: str) -> int:
@@ -260,15 +263,15 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     env_scale = os.environ.get("LEGLAB_TOLERANCE_SCALE")
     if env_scale is not None:
         scale *= _parse_float(env_scale, "LEGLAB_TOLERANCE_SCALE")
-    if scale <= 0.0:
-        raise ValidationError("tolerance scale must be positive")
+    if not 0.0 < scale < math.inf:
+        raise ValidationError("tolerance scale must be positive and finite")
     overrides = {
         name: _parse_float(value, f"[tolerances] {name}")
         for name, value in tol_cfg.items()
     }
     for name, value in overrides.items():
-        if value <= 0.0:
-            raise ValidationError(f"[tolerances] {name} must be positive")
+        if not 0.0 < value * scale < math.inf:
+            raise ValidationError(f"[tolerances] {name} must be positive and finite once scaled")
 
     seed = args.seed if args.seed is not None else _parse_int(run_cfg.get("seed", "0"), "[run] seed")
     workers = (

@@ -12,17 +12,13 @@ Everything here is derived from jets of the immersion F at a chart point:
   and the Gauss curvature both intrinsically (Brioschi) and extrinsically
   (Gauss equation).
 
-Two layers:
-
-1. Module-level functions (``first_fundamental``, ``christoffels``,
-   ``frames``, ``second_fundamental``, ``gauss_curvature``,
-   ``legendrian_defect``, ``point_report``) work on plain values extracted
-   from the jets of one point — the reference implementations.
-
-2. ``ChartFrame`` carries the same chain but keeps every quantity a *jet*
-   over a whole batch of points, so higher operators (divergence of JH, its
-   exact gradient, vector Laplacians) come out with no finite-difference
-   error.  The two layers are tested against each other.
+One chain: ``ChartFrame`` keeps every quantity a *jet* over a whole batch of
+points, so higher operators (divergence of JH, its exact gradient, vector
+Laplacians) come out with no finite-difference error, and the value-level
+arrays are read off the constant coefficients.  ``point_report`` is a
+one-point view of it, ``brioschi`` the single Brioschi formula (fed jet or
+finite-difference metric derivatives) and ``legendrian_defect`` the single
+per-point Legendrian defect.
 
 Index conventions: chart indices i, j, k run over (x, y) = (0, 1);
 ``gamma[k, i, j]`` is Gamma^k_{ij}; arrays carrying several points append the
@@ -31,14 +27,13 @@ batch axes last (e.g. a batched metric has shape (2, 2, n)).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import ambient, jets
-from .errors import DegenerateMetricError, OrderError
+from .errors import DegenerateMetricError
 from .jets import Jet2
 from .surfaces import ImmersionSpec, evaluate_jet_batch
 
@@ -62,11 +57,6 @@ def jv_J(F):
     return tuple(f * 1j for f in F)
 
 
-def jv_combine(alpha, U, beta, V):
-    """alpha*U + beta*V for jet (or scalar) coefficients alpha, beta."""
-    return tuple(alpha * u + beta * v for u, v in zip(U, V))
-
-
 def jherm(U, V) -> Jet2:
     """Jet of the hermitian product <U, V> (valid: chart variables are real)."""
     acc = U[0] * V[0].conjugate()
@@ -85,228 +75,41 @@ def values(F) -> np.ndarray:
     return np.stack([np.asarray(f.value) for f in F])
 
 
-# -- value-level reference operations ---------------------------------------
-
-
-def first_fundamental(F) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Metric, inverse and determinant from jets of degree >= 1.
-
-    Returns (g, g_inv, det_g) with g[i, j] of shape (2, 2, *batch).
-    Raises ERR_DEGENERATE_METRIC when det <= 1e-12 anywhere.
-    """
-    Fi = (jv_dx(F), jv_dy(F))
-    g = np.array(
-        [[np.real(_herm_values(Fi[i], Fi[j])) for j in range(2)] for i in range(2)]
-    )
-    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    if np.any(det <= DET_TOL):
-        raise DegenerateMetricError(
-            f"metric determinant {float(np.min(det)):.3e} <= {DET_TOL:g}"
-        )
-    g_inv = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]]) / det
-    return g, g_inv, det
-
-
-def _herm_values(U, V):
-    return sum(np.asarray(u.value) * np.conj(np.asarray(v.value)) for u, v in zip(U, V))
-
-
-def legendrian_defect(F) -> float:
-    """max_i |<F_i, F>| plus the unit-norm defect ||F|^2 - 1|.
+def legendrian_defect(F) -> np.ndarray:
+    """Per-point max_i |<F_i, F>| plus the unit-norm defect ||F|^2 - 1|.
 
     Zero (to roundoff) exactly when the point lies on the unit sphere and
     both chart directions are Legendrian; the hermitian product catches the
-    contact-form component through its imaginary part.
+    contact-form component through its imaginary part.  Needs jets of
+    degree >= 1.
     """
     p = values(F)
-    tangency = max(
-        float(np.max(np.abs(_herm_values(jv_dx(F), F)))),
-        float(np.max(np.abs(_herm_values(jv_dy(F), F)))),
-    )
-    norm_defect = float(np.max(np.abs(ambient.real_inner(p, p) - 1.0)))
-    return tangency + norm_defect
+    tangency = [np.abs(ambient.hermitian_inner(values(Fi), p)) for Fi in (jv_dx(F), jv_dy(F))]
+    return np.maximum(*tangency) + np.abs(ambient.real_inner(p, p) - 1.0)
 
 
-def christoffels(F) -> np.ndarray:
-    """Gamma^k_{ij} values, shape (2, 2, 2, *batch); needs degree >= 2.
-
-    The metric's first derivatives come from the jet products, so no
-    finite differences are involved.
-    """
-    if min(f.degree for f in F) < 2:
-        raise OrderError("christoffels needs jets of degree >= 2")
-    Fx, Fy = jv_dx(F), jv_dy(F)
-    gj = [[jreal(U, V) for V in (Fx, Fy)] for U in (Fx, Fy)]
-    g = np.array([[np.real(gj[i][j].value) for j in range(2)] for i in range(2)])
-    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    if np.any(det <= DET_TOL):
-        raise DegenerateMetricError(
-            f"metric determinant {float(np.min(det)):.3e} <= {DET_TOL:g}"
-        )
-    ginv = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]]) / det
-    # dg[l, i, j] = d_l g_ij, exact from the metric jets
-    dg = np.array(
-        [
-            [[np.real(gj[i][j].dx().value) for j in range(2)] for i in range(2)],
-            [[np.real(gj[i][j].dy().value) for j in range(2)] for i in range(2)],
-        ]
-    )
-    gamma = np.zeros_like(dg)
-    for k in range(2):
-        for i in range(2):
-            for j in range(2):
-                acc = 0.0
-                for l in range(2):
-                    acc = acc + ginv[k, l] * (dg[i, j, l] + dg[j, i, l] - dg[l, i, j])
-                gamma[k, i, j] = 0.5 * acc
-    return gamma
-
-
-def frames(F, g) -> tuple[np.ndarray, ...]:
-    """Orthonormal frame (e1, e2, nu1, nu2, R): Gram-Schmidt with F_x first.
-
-    nu_a = J e_a and R = reeb(F); for a Legendrian immersion the five vectors
-    are orthonormal and span the tangent space of the sphere.
-    """
-    Fx = values(jv_dx(F))
-    Fy = values(jv_dy(F))
-    p = values(F)
-    e1 = Fx / np.sqrt(g[0, 0])
-    w = Fy - (g[0, 1] / g[0, 0]) * Fx
-    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    e2 = w / np.sqrt(det / g[0, 0])
-    return e1, e2, ambient.apply_J(e1), ambient.apply_J(e2), ambient.reeb(p)
-
-
-@dataclass(frozen=True)
-class SecondFundamental:
-    """Value-level bundle returned by ``second_fundamental``.
-
-    ``B[i, j]`` are ambient vectors (shape (2, 2, 3, *batch)); ``sigma`` holds
-    the orthonormal-frame components sigma_{abc} = <B(e_a, e_b), J e_c>;
-    ``A_nu[alpha]`` are the chart-coordinate quadratic forms of the unit
-    normals nu_1, nu_2, and ``A_R`` the (vanishing) Reeb one.
-    """
-
-    B: np.ndarray
-    sigma: np.ndarray
-    H: np.ndarray
-    mu: np.ndarray
-    A_nu: np.ndarray
-    A_R: np.ndarray
-
-
-def second_fundamental(F, g, gamma) -> SecondFundamental:
-    """Second fundamental form data from degree >= 2 jets plus (g, gamma).
-
-    B_ij = F_ij - Gamma^k_ij F_k + g_ij F; H = g^{ij} B_ij (full trace);
-    sigma_abc = <B(e_a, e_b), J e_c>; mu_a = <H, J e_a>; A^nu_ij = <B_ij, nu>.
-    """
-    Fx, Fy = jv_dx(F), jv_dy(F)
-    F2 = ((jv_dx(Fx), jv_dy(Fx)), (jv_dx(Fy), jv_dy(Fy)))
-    p = values(F)
-    Fi = (values(Fx), values(Fy))
-    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    ginv = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]]) / det
-
-    B = np.zeros((2, 2) + p.shape, dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            B[i, j] = (
-                values(F2[i][j])
-                - gamma[0, i, j] * Fi[0]
-                - gamma[1, i, j] * Fi[1]
-                + g[i, j] * p
-            )
-    H = sum(ginv[i, j] * B[i, j] for i in range(2) for j in range(2))
-
-    e1, e2, nu1, nu2, R = frames(F, g)
-    # chart -> orthonormal frame change: e_a = E[a, i] * F_i
-    E = np.zeros((2, 2) + p.shape[1:])
-    E[0, 0] = 1.0 / np.sqrt(g[0, 0])
-    L = np.sqrt(det / g[0, 0])
-    E[1, 0] = -g[0, 1] / (g[0, 0] * L)
-    E[1, 1] = 1.0 / L
-
-    sigma_chart = np.array(
-        [
-            [
-                [ambient.real_inner(B[i, j], ambient.apply_J(Fi[k])) for k in range(2)]
-                for j in range(2)
-            ]
-            for i in range(2)
-        ]
-    )
-    sigma = np.einsum("ai...,bj...,ck...,ijk...->abc...", E, E, E, sigma_chart)
-    mu = np.array([ambient.real_inner(H, nu1), ambient.real_inner(H, nu2)])
-    A_nu = np.array(
-        [
-            [[ambient.real_inner(B[i, j], nu) for j in range(2)] for i in range(2)]
-            for nu in (nu1, nu2)
-        ]
-    )
-    A_R = np.array(
-        [[ambient.real_inner(B[i, j], R) for j in range(2)] for i in range(2)]
-    )
-    return SecondFundamental(B=B, sigma=sigma, H=H, mu=mu, A_nu=A_nu, A_R=A_R)
-
-
-def shape_operator(F, g, gamma, normal) -> np.ndarray:
-    """Chart-coordinate quadratic form <B_ij, normal> for an arbitrary normal.
-
-    The normal is NOT normalized here: passing J F_x reproduces tables stated
-    for non-unit normal fields.
-    """
-    sf = second_fundamental(F, g, gamma)
-    return np.array(
-        [[ambient.real_inner(sf.B[i, j], normal) for j in range(2)] for i in range(2)]
+def _det3(m):
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     )
 
 
-def gauss_curvature(F) -> tuple[np.ndarray, np.ndarray]:
-    """(kappa_intrinsic, kappa_gauss_eq): Brioschi versus the Gauss equation.
+def brioschi(g, dg, E_yy, F_xy, G_xx) -> np.ndarray:
+    """Gauss curvature of the metric alone, by the Brioschi formula.
 
-    kappa_gauss_eq = 1 + (<B_xx, B_yy> - |B_xy|^2) / det g  (equivalent to the
-    orthonormal-frame statement).  kappa_intrinsic is the Brioschi formula on
-    the metric's exact first and second derivatives, which requires jets of
-    degree >= 3; it never sees the embedding, so agreement of the two numbers
-    exercises the Gauss equation itself.
+    ``g[i, j]`` are metric values and ``dg[l, i, j] = d_l g_ij`` its first
+    derivatives; E_yy, F_xy, G_xx are the three second derivatives the
+    formula needs (E = g_xx, F = g_xy, G = g_yy).  The formula never sees the
+    embedding, so comparing it with the Gauss equation exercises the latter.
     """
-    if min(f.degree for f in F) < 3:
-        raise OrderError("gauss_curvature needs jets of degree >= 3 for Brioschi")
-    g, g_inv, det = first_fundamental(F)
-    gamma = christoffels(F)
-    sf = second_fundamental(F, g, gamma)
-    kappa_gauss = 1.0 + (
-        ambient.real_inner(sf.B[0, 0], sf.B[1, 1])
-        - ambient.real_inner(sf.B[0, 1], sf.B[0, 1])
-    ) / det
-
-    Fx, Fy = jv_dx(F), jv_dy(F)
-    gj = [[jreal(U, V) for V in (Fx, Fy)] for U in (Fx, Fy)]
-
-    def d(i, j, jx, jy):
-        return np.real(jets.extract_partial(gj[i][j], jx, jy))
-
     E, Fm, G = g[0, 0], g[0, 1], g[1, 1]
-    E_x, E_y = d(0, 0, 1, 0), d(0, 0, 0, 1)
-    G_x, G_y = d(1, 1, 1, 0), d(1, 1, 0, 1)
-    F_x_, F_y_ = d(0, 1, 1, 0), d(0, 1, 0, 1)
-    E_yy = d(0, 0, 0, 2)
-    G_xx = d(1, 1, 2, 0)
-    F_xy = d(0, 1, 1, 1)
-
-    def det3(m):
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-
+    (E_x, F_x, G_x), (E_y, F_y, G_y) = ((d[0, 0], d[0, 1], d[1, 1]) for d in dg)
     zero = np.zeros_like(E)
     m1 = [
-        [-0.5 * E_yy + F_xy - 0.5 * G_xx, 0.5 * E_x, F_x_ - 0.5 * E_y],
-        [F_y_ - 0.5 * G_x, E, Fm],
+        [-0.5 * E_yy + F_xy - 0.5 * G_xx, 0.5 * E_x, F_x - 0.5 * E_y],
+        [F_y - 0.5 * G_x, E, Fm],
         [0.5 * G_y, Fm, G],
     ]
     m2 = [
@@ -314,8 +117,8 @@ def gauss_curvature(F) -> tuple[np.ndarray, np.ndarray]:
         [0.5 * E_y, E, Fm],
         [0.5 * G_x, Fm, G],
     ]
-    kappa_intrinsic = (det3(m1) - det3(m2)) / det**2
-    return kappa_intrinsic, kappa_gauss
+    det = E * G - Fm * Fm
+    return (_det3(m1) - _det3(m2)) / det**2
 
 
 # -- PointFrame --------------------------------------------------------------
@@ -359,66 +162,59 @@ class PointFrame:
 
 
 def point_report(spec: ImmersionSpec, x: float, y: float) -> PointFrame:
-    """Evaluate the full pointwise bundle at one chart point (degree-4 jets)."""
-    F = evaluate_jet_batch(spec, x, y, 4)
-    g, g_inv, det = first_fundamental(F)
-    gamma = christoffels(F)
-    sf = second_fundamental(F, g, gamma)
-    e1, e2, nu1, nu2, R = frames(F, g)
-    kappa_intr, kappa_gauss = gauss_curvature(F)
-    p = values(F)
-    Fx, Fy = values(jv_dx(F)), values(jv_dy(F))
-    Fxx = values(jv_dx(jv_dx(F)))
-    Fxy = values(jv_dy(jv_dx(F)))
-    Fyy = values(jv_dy(jv_dy(F)))
+    """The full pointwise bundle at one chart point: a one-point ``ChartFrame`` view.
 
-    norm_B_sq = 0.0
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    norm_B_sq = norm_B_sq + g_inv[i, k] * g_inv[j, l] * (
-                        ambient.real_inner(sf.B[i, j], sf.B[k, l])
-                    )
+    ``e1, e2`` is the Gram-Schmidt frame (F_x first), ``nu_a = J e_a`` and
+    ``R`` the Reeb field; ``A_nu1``, ``A_nu2``, ``A_R`` are the chart quadratic
+    forms <B_ij, normal>; ``kappa`` comes from the Gauss equation and
+    ``kappa_intrinsic`` from the Brioschi formula.
+    """
+    fr = ChartFrame(spec, [x], [y], degree=4)
 
-    herm_x = ambient.hermitian_inner(Fx, p)
-    herm_y = ambient.hermitian_inner(Fy, p)
-    defect_tangency = max(abs(float(np.real(herm_x))), abs(float(np.real(herm_y))))
-    defect_legendrian = max(abs(complex(herm_x)), abs(complex(herm_y)))
-    defect_norm = abs(float(ambient.real_inner(p, p)) - 1.0)
+    def at(v):
+        return v[..., 0]
+
+    p, F_x, F_y = at(fr.F_v), at(fr.Fx_v), at(fr.Fy_v)
+    B, H, e1, e2 = at(fr.B), at(fr.H), at(fr.e1), at(fr.e2)
+    nu1, nu2, R = ambient.apply_J(e1), ambient.apply_J(e2), ambient.reeb(p)
+
+    def quadratic_form(normal):
+        return np.array(
+            [[ambient.real_inner(B[i, j], normal) for j in range(2)] for i in range(2)]
+        )
 
     return PointFrame(
         x=float(x),
         y=float(y),
         F=p,
-        F_x=Fx,
-        F_y=Fy,
-        F_xx=Fxx,
-        F_xy=Fxy,
-        F_yy=Fyy,
-        g=g,
-        g_inv=g_inv,
-        det_g=float(det),
-        gamma=gamma,
+        F_x=F_x,
+        F_y=F_y,
+        F_xx=at(values(jv_dx(fr.Fx))),
+        F_xy=at(values(jv_dy(fr.Fx))),
+        F_yy=at(values(jv_dy(fr.Fy))),
+        g=at(fr.g),
+        g_inv=at(fr.g_inv),
+        det_g=float(at(fr.det_g)),
+        gamma=at(fr.gamma),
         e1=e1,
         e2=e2,
         nu1=nu1,
         nu2=nu2,
         R=R,
-        B=sf.B,
-        sigma=sf.sigma,
-        H=sf.H,
-        mu=np.real(sf.mu),
-        A_nu1=sf.A_nu[0],
-        A_nu2=sf.A_nu[1],
-        A_R=sf.A_R,
-        kappa=float(kappa_gauss),
-        kappa_intrinsic=float(kappa_intr),
-        norm_H_sq=float(ambient.real_inner(sf.H, sf.H)),
-        norm_B_sq=float(norm_B_sq),
-        defect_unit_norm=defect_norm,
-        defect_tangency=defect_tangency,
-        defect_legendrian=defect_legendrian + defect_norm,
+        B=B,
+        sigma=at(fr.sigma_frame),
+        H=H,
+        mu=np.array([ambient.real_inner(H, nu1), ambient.real_inner(H, nu2)]),
+        A_nu1=quadratic_form(nu1),
+        A_nu2=quadratic_form(nu2),
+        A_R=quadratic_form(R),
+        kappa=float(at(fr.kappa)),
+        kappa_intrinsic=float(at(fr.kappa_brioschi)),
+        norm_H_sq=float(at(fr.norm_H_sq)),
+        norm_B_sq=float(at(fr.norm_B_sq)),
+        defect_unit_norm=abs(float(ambient.real_inner(p, p)) - 1.0),
+        defect_tangency=max(abs(float(ambient.real_inner(Fi, p))) for Fi in (F_x, F_y)),
+        defect_legendrian=float(at(legendrian_defect(fr.F))),
     )
 
 
@@ -461,10 +257,13 @@ class ChartFrame:
     def det_j(self) -> Jet2:
         gj = self.gj
         det = gj[0][0] * gj[1][1] - gj[0][1] * gj[0][1]
-        if np.any(np.real(det.value) <= DET_TOL):
+        d = np.ravel(np.real(det.value))
+        if np.any(d <= DET_TOL):
+            worst = int(np.argmin(d))
+            x, y = (float(np.ravel(t)[worst]) for t in (self.xs, self.ys))
             raise DegenerateMetricError(
-                f"metric determinant {float(np.min(np.real(det.value))):.3e} "
-                f"<= {DET_TOL:g}"
+                f"metric determinant {d[worst]:.3e} <= {DET_TOL:g} "
+                f"at chart point (x, y) = ({x:.17g}, {y:.17g})"
             )
         return det
 
@@ -495,6 +294,20 @@ class ChartFrame:
     @cached_property
     def det_g(self) -> np.ndarray:
         return np.real(self.det_j.value)
+
+    @cached_property
+    def dg(self) -> np.ndarray:
+        """Metric first derivatives dg[l, i, j] = d_l g_ij, exact from the jets."""
+        gj = self.gj
+        return np.array(
+            [
+                [
+                    [np.real(jets.extract_partial(gj[i][j], 1 - l, l)) for j in range(2)]
+                    for i in range(2)
+                ]
+                for l in range(2)
+            ]
+        )
 
     # --- Christoffels and second derivatives ---
 
@@ -612,6 +425,18 @@ class ChartFrame:
             ambient.real_inner(B[0, 0], B[1, 1])
             - ambient.real_inner(B[0, 1], B[0, 1])
         ) / self.det_g
+
+    @cached_property
+    def kappa_brioschi(self) -> np.ndarray:
+        """Intrinsic curvature: Brioschi on the metric's exact jets (degree >= 3)."""
+        gj = self.gj
+        return brioschi(
+            self.g,
+            self.dg,
+            np.real(jets.extract_partial(gj[0][0], 0, 2)),
+            np.real(jets.extract_partial(gj[0][1], 1, 1)),
+            np.real(jets.extract_partial(gj[1][1], 2, 0)),
+        )
 
     # --- the JH field and its first-order invariants ---
 

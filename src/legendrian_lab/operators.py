@@ -35,6 +35,7 @@ residuals plus the suite into one report.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
@@ -43,7 +44,7 @@ import numpy as np
 
 from . import ambient
 from .errors import GridError, NotTangentError, StencilOutOfDomainError
-from .geometry import ChartFrame, gauss_curvature
+from .geometry import ChartFrame, brioschi, legendrian_defect
 from .surfaces import ImmersionSpec, grid_points, sample_points
 
 #: Base finite-difference step scale: h = FD_H_SCALE * (1 + |coordinate|).
@@ -440,51 +441,12 @@ def brioschi_curvature_fd(spec: ImmersionSpec, x, y):
     xs, ys, scalar = _as_1d(x, y)
 
     def metric_d1(px, py):
-        fr = ChartFrame(spec, px, py, degree=2, wrap=False)
-        gj = fr.gj
-        return np.array(
-            [
-                [[np.real(gj[i][j].dx().value) for j in range(2)] for i in range(2)],
-                [[np.real(gj[i][j].dy().value) for j in range(2)] for i in range(2)],
-            ]
-        )  # [l, i, j] = d_l g_ij
+        return ChartFrame(spec, px, py, degree=2, wrap=False).dg  # [l, i, j] = d_l g_ij
 
     ddg_x = partial_derivative(spec, metric_d1, xs, ys, 0)  # d_x d_l g_ij
     ddg_y = partial_derivative(spec, metric_d1, xs, ys, 1)
     fr = ChartFrame(spec, xs, ys, degree=2, wrap=False)
-    g = fr.g
-    gj = fr.gj
-    E, Fm, G = g[0, 0], g[0, 1], g[1, 1]
-    E_x = np.real(gj[0][0].dx().value)
-    E_y = np.real(gj[0][0].dy().value)
-    G_x = np.real(gj[1][1].dx().value)
-    G_y = np.real(gj[1][1].dy().value)
-    F_x = np.real(gj[0][1].dx().value)
-    F_y = np.real(gj[0][1].dy().value)
-    E_yy = ddg_y[1, 0, 0]
-    G_xx = ddg_x[0, 1, 1]
-    F_xy = ddg_x[1, 0, 1]
-
-    def det3(m):
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-
-    det = fr.det_g
-    zero = np.zeros_like(E)
-    m1 = [
-        [-0.5 * E_yy + F_xy - 0.5 * G_xx, 0.5 * E_x, F_x - 0.5 * E_y],
-        [F_y - 0.5 * G_x, E, Fm],
-        [0.5 * G_y, Fm, G],
-    ]
-    m2 = [
-        [zero, 0.5 * E_y, 0.5 * G_x],
-        [0.5 * E_y, E, Fm],
-        [0.5 * G_x, Fm, G],
-    ]
-    out = (det3(m1) - det3(m2)) / det**2
+    out = brioschi(fr.g, fr.dg, ddg_y[1, 0, 0], ddg_x[1, 0, 1], ddg_x[0, 1, 1])
     return float(out[0]) if scalar else out
 
 
@@ -605,16 +567,8 @@ def identity_suite(
     fr = ChartFrame(spec, xs, ys, degree=4, wrap=False)
     checks: list[CheckResult] = []
 
-    # Legendrian defect: |<F_i, F>| plus unit-norm deviation.
-    herm_x = np.abs(sum(a.value * np.conj(b.value) for a, b in zip(fr.Fx, fr.F)))
-    herm_y = np.abs(sum(a.value * np.conj(b.value) for a, b in zip(fr.Fy, fr.F)))
-    norm_dev = np.abs(ambient.real_inner(fr.F_v, fr.F_v) - 1.0)
     checks.append(
-        _make_check(
-            "legendrian_defect",
-            np.maximum(herm_x, herm_y) + norm_dev,
-            tol["legendrian_defect"],
-        )
+        _make_check("legendrian_defect", legendrian_defect(fr.F), tol["legendrian_defect"])
     )
 
     # Cubic form symmetry (orthonormal components).
@@ -643,12 +597,9 @@ def identity_suite(
     checks.append(_make_check("gauss_claim", claim, tol["gauss_claim"]))
 
     # Intrinsic (Brioschi) vs extrinsic (Gauss equation) curvature.
-    kappa_intr, kappa_gauss = gauss_curvature(fr.F)
     checks.append(
         _make_check(
-            "gauss_vs_brioschi",
-            np.abs(np.atleast_1d(kappa_intr - kappa_gauss)),
-            tol["gauss_vs_brioschi"],
+            "gauss_vs_brioschi", np.abs(fr.kappa_brioschi - fr.kappa), tol["gauss_vs_brioschi"]
         )
     )
     checks.append(
@@ -813,12 +764,9 @@ def willmore_energy(spec: ImmersionSpec, grid: tuple[int, int] = (64, 64)):
 def _grid_residuals(spec: ImmersionSpec, xs, ys) -> dict[str, np.ndarray]:
     """Per-point residual magnitudes used by the verify command."""
     fr = ChartFrame(spec, xs, ys, degree=4, wrap=False)
-    herm_x = np.abs(sum(a.value * np.conj(b.value) for a, b in zip(fr.Fx, fr.F)))
-    herm_y = np.abs(sum(a.value * np.conj(b.value) for a, b in zip(fr.Fy, fr.F)))
-    norm_dev = np.abs(ambient.real_inner(fr.F_v, fr.F_v) - 1.0)
     bracket = _willmore_bracket(fr)
     return {
-        "legendrian_defect": np.maximum(herm_x, herm_y) + norm_dev,
+        "legendrian_defect": legendrian_defect(fr.F),
         "csl_residual": np.abs(fr.div_JH),
         "willmore_legendrian_residual": np.sqrt(np.sum(np.abs(bracket) ** 2, axis=0)),
         "csl_willmore_residual": residual_csl_willmore(spec, xs, ys),
@@ -833,17 +781,24 @@ def _grid_chunk(args):
     return _grid_residuals(spec, xs, ys)
 
 
+def _pool_size(workers: int, n_points: int) -> int:
+    """Processes actually started: never more than the cores or the points."""
+    return min(workers, os.cpu_count() or 1, n_points)
+
+
 def grid_residuals(
     spec: ImmersionSpec, nx: int, ny: int, workers: int = 1
 ) -> dict[str, np.ndarray]:
     """Residual maps on the half-offset nx-by-ny grid, optionally in parallel.
 
     Chunks are split by contiguous index ranges and reassembled in submission
-    order, so the result is identical for any worker count.
+    order, so the result is identical for any worker count.  The pool is
+    clamped to the core count and the number of grid points.
     """
     if nx < 4 or ny < 4:
         raise GridError(f"verification grid {nx}x{ny} too small (need >= 4 per axis)")
     xs, ys = grid_points(spec, nx, ny)
+    workers = _pool_size(workers, xs.size)
     if workers <= 1:
         return _grid_residuals(spec, xs, ys)
     bounds = np.linspace(0, xs.size, workers + 1).astype(int)

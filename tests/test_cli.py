@@ -89,6 +89,30 @@ def test_negative_tolerance_scale_is_a_configuration_error(capsys, monkeypatch):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_tolerance_scale_is_a_configuration_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("LEGLAB_TOLERANCE_SCALE", value)
+    rc = cli.main(["verify", "--surface", "calabi", "--grid", "8x8", "--format", "json"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "ERR_VALIDATION" in captured.err and "finite" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["csl_residual = inf", "csl_residual = nan", "scale = 10\ncsl_residual = 1e308"],
+    ids=["inf", "nan", "overflow"],
+)
+def test_non_finite_tolerance_override_is_a_configuration_error(capsys, tmp_path, body):
+    cfg = tmp_path / "loose.cfg"
+    cfg.write_text(f"[tolerances]\n{body}\n")
+    rc = cli.main(["verify", "--surface", "calabi", "--grid", "8x8", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "[tolerances] csl_residual" in err and "finite" in err
+
+
 def test_tolerance_override_section_can_fail_a_check(capsys, tmp_path):
     cfg = tmp_path / "strict.cfg"
     cfg.write_text("[tolerances]\ncsl_residual = 1e-30\n")

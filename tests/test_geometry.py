@@ -30,18 +30,21 @@ def _assert_point_invariants(pf):
     assert np.max(np.abs(pf.A_R)) < 1e-11
 
 
+def _frame(spec, x, y, degree):
+    return geometry.ChartFrame(spec, [x], [y], degree=degree)
+
+
 def test_first_fundamental_closed_forms():
-    F = surfaces.evaluate_jet(CALABI, 1.1, 0.4, 2)
-    g, g_inv, det = geometry.first_fundamental(F)
+    fr = _frame(CALABI, 1.1, 0.4, 2)
+    g, g_inv = fr.g[..., 0], fr.g_inv[..., 0]
     assert np.allclose(g, np.diag([1.0, 0.64]), atol=1e-13)
     assert np.allclose(g @ g_inv, np.eye(2), atol=1e-13)
-    assert det == pytest.approx(0.64, abs=1e-13)
+    assert fr.det_g[0] == pytest.approx(0.64, abs=1e-13)
 
-    g, _, _ = geometry.first_fundamental(surfaces.evaluate_jet(MIRONOV, 0.0, 0.9, 2))
+    g = _frame(MIRONOV, 0.0, 0.9, 2).g[..., 0]
     assert np.allclose(g, np.diag([0.5, 2.0]), atol=1e-13)
 
-    sphere = surfaces.geodesic_sphere()
-    g, _, _ = geometry.first_fundamental(surfaces.evaluate_jet(sphere, 0.0, 0.0, 2))
+    g = _frame(surfaces.geodesic_sphere(), 0.0, 0.0, 2).g[..., 0]
     assert np.allclose(g, np.eye(2), atol=1e-14)
 
 
@@ -68,15 +71,11 @@ def test_legendrian_defect_detects_scaling_and_twisting():
 
 
 def test_frames_match_the_flat_torus_normalization():
-    F = surfaces.evaluate_jet(CALABI, 0.0, 0.0, 2)
-    g, _, _ = geometry.first_fundamental(F)
-    e1, e2, nu1, nu2, R = geometry.frames(F, g)
-    Fx = geometry.values(geometry.jv_dx(F))
-    Fy = geometry.values(geometry.jv_dy(F))
-    assert np.max(np.abs(e1 - Fx)) < 1e-13
-    assert np.max(np.abs(e2 - Fy / 0.8)) < 1e-13
+    pf = geometry.point_report(CALABI, 0.0, 0.0)
+    assert np.max(np.abs(pf.e1 - pf.F_x)) < 1e-13
+    assert np.max(np.abs(pf.e2 - pf.F_y / 0.8)) < 1e-13
     # Pairwise products of the five frame vectors follow the identity pattern.
-    frame = [e1, e2, nu1, nu2, R]
+    frame = [pf.e1, pf.e2, pf.nu1, pf.nu2, pf.R]
     gram = np.array([[ambient.real_inner(u, v) for v in frame] for u in frame])
     assert np.max(np.abs(gram - np.eye(5))) < 1e-13
 
@@ -137,20 +136,18 @@ def test_twisted_torus_shape_data_at_the_symmetry_slice():
 
 def test_gauss_curvature_closed_cases():
     for x, y in [(0.4, 0.4), (3.3, 1.0)]:
-        F = surfaces.evaluate_jet(CALABI, x, y, 4)
-        kappa_intrinsic, kappa_gauss = geometry.gauss_curvature(F)
-        assert abs(kappa_intrinsic) < 1e-9
-        assert abs(kappa_gauss) < 1e-9
-    sphere = surfaces.geodesic_sphere()
-    F = surfaces.evaluate_jet(sphere, 0.3, 2.0, 4)
-    kappa_intrinsic, kappa_gauss = geometry.gauss_curvature(F)
-    assert kappa_intrinsic == pytest.approx(1.0, abs=1e-10)
-    assert kappa_gauss == pytest.approx(1.0, abs=1e-10)
+        pf = geometry.point_report(CALABI, x, y)
+        assert abs(pf.kappa_intrinsic) < 1e-9
+        assert abs(pf.kappa) < 1e-9
+    pf = geometry.point_report(surfaces.geodesic_sphere(), 0.3, 2.0)
+    assert pf.kappa_intrinsic == pytest.approx(1.0, abs=1e-10)
+    assert pf.kappa == pytest.approx(1.0, abs=1e-10)
 
 
 def test_gauss_curvature_requires_enough_jet_degree():
+    # Brioschi needs second metric derivatives, i.e. jets of F of degree >= 3.
     with pytest.raises(OrderError):
-        geometry.gauss_curvature(surfaces.evaluate_jet(CALABI, 0.3, 0.7, 2))
+        _ = _frame(CALABI, 0.3, 0.7, 2).kappa_brioschi
 
 
 def test_curvature_claim_links_kappa_H_and_B(members):
@@ -169,5 +166,5 @@ def test_point_report_invariants_hold_on_catalog_members():
 
 def test_point_report_rejects_degenerate_expression_surfaces():
     degenerate = surfaces.from_expression(("1", "0", "0"), {}, DOM)
-    with pytest.raises(DegenerateMetricError):
+    with pytest.raises(DegenerateMetricError, match=r"at chart point \(x, y\) = \(0\.5, 0\.5\)"):
         geometry.point_report(degenerate, 0.5, 0.5)

@@ -1,6 +1,7 @@
 """Differential operators and variational residuals on chart fields."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -220,6 +221,14 @@ def test_grid_residuals_are_worker_count_independent():
     parallel = operators.grid_residuals(CALABI, 8, 8, workers=2)
     for key, values in serial.items():
         assert np.array_equal(values, parallel[key]), key
+
+
+def test_pool_size_is_clamped_to_cores_and_points():
+    # Pure function: a huge request is never launched, only sized.
+    cores = os.cpu_count() or 1
+    assert operators._pool_size(10**9, 4096) == min(cores, 4096)
+    assert operators._pool_size(10**9, 1) == 1
+    assert operators._pool_size(1, 4096) == 1
 
 
 def test_run_verification_bundles_grid_and_identity_checks():
