@@ -57,12 +57,8 @@ from .geometry import ChartFrame, PointFrame, brioschi, legendrian_defect, point
 from .operators import (
     CheckResult,
     ResidualReport,
-    covariant_derivative,
-    divergence,
     field_JH,
-    gradient,
     identity_suite,
-    laplace_beltrami,
     nabla_JH_pack,
     obstruction_trace,
     residual_csl_willmore,
@@ -128,10 +124,6 @@ __all__ = [
     "brioschi",
     "point_report",
     "field_JH",
-    "divergence",
-    "gradient",
-    "laplace_beltrami",
-    "covariant_derivative",
     "nabla_JH_pack",
     "willmore_operator",
     "residual_willmore_legendrian",

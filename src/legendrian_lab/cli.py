@@ -37,7 +37,6 @@ from .errors import LabError, UnsupportedSurfaceError, ValidationError
 from .geometry import ChartFrame
 from .operators import (
     CheckResult,
-    VERIFY_TOLERANCES,
     grid_residuals,
     run_verification,
     willmore_energy,

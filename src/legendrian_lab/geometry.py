@@ -13,7 +13,8 @@ Everything here is derived from jets of the immersion F at a chart point:
   (Gauss equation).
 
 One chain: ``ChartFrame`` keeps every quantity a *jet* over a whole batch of
-points, so higher operators (divergence of JH, its exact gradient, vector
+points, so higher operators (divergence of JH and its Laplacian, the
+Willmore operator and the divergence of J W - 2 JH, vector and normal-bundle
 Laplacians) come out with no finite-difference error, and the value-level
 arrays are read off the constant coefficients.  ``point_report`` is a
 one-point view of it, ``brioschi`` the single Brioschi formula (fed jet or
@@ -73,6 +74,18 @@ def jreal(U, V) -> Jet2:
 def values(F) -> np.ndarray:
     """Stack the values of a jet-vector into shape (3, *batch)."""
     return np.stack([np.asarray(f.value) for f in F])
+
+
+def _partials(f) -> np.ndarray:
+    """Real chart partials of a real jet or of nested lists of them.
+
+    The derivative axis comes first: ``_partials(f)[l, i, ...] = d_l f[i][...]``.
+    """
+    if isinstance(f, Jet2):
+        return np.array(
+            [np.real(jets.extract_partial(f, 1, 0)), np.real(jets.extract_partial(f, 0, 1))]
+        )
+    return np.stack([_partials(g) for g in f], axis=1)
 
 
 def legendrian_defect(F) -> np.ndarray:
@@ -224,10 +237,13 @@ def point_report(spec: ImmersionSpec, x: float, y: float) -> PointFrame:
 class ChartFrame:
     """Jet-exact geometric chain over a batch of chart points.
 
-    Construct with the desired jet degree (4 gives everything; 2 is enough
-    for the value-level quantities needed at finite-difference stencil
-    points).  Properties are cached; all arrays put chart indices first and
-    batch axes last.
+    Construct with the jet degree the wanted quantities need: 5 gives
+    everything, including the fourth-order terms (``laplace_div_JH``,
+    ``div_JW_minus_2JH``); 4 gives everything of third order (the Willmore
+    operator, ``laplace_JH``, ``normal_laplacian_H``, the cubic-form
+    partials); 2 is enough for the metric, B, H, JH and the cubic form.
+    Properties are cached; all arrays put chart indices first and batch axes
+    last.
     """
 
     def __init__(self, spec: ImmersionSpec, xs, ys, degree: int = 4, wrap: bool = True):
@@ -298,16 +314,7 @@ class ChartFrame:
     @cached_property
     def dg(self) -> np.ndarray:
         """Metric first derivatives dg[l, i, j] = d_l g_ij, exact from the jets."""
-        gj = self.gj
-        return np.array(
-            [
-                [
-                    [np.real(jets.extract_partial(gj[i][j], 1 - l, l)) for j in range(2)]
-                    for i in range(2)
-                ]
-                for l in range(2)
-            ]
-        )
+        return _partials(self.gj)
 
     # --- Christoffels and second derivatives ---
 
@@ -447,10 +454,14 @@ class ChartFrame:
         return [jreal(self.JH_j, Fi[i]) for i in range(2)]
 
     @cached_property
+    def d_omega(self) -> np.ndarray:
+        """d_l omega_i, indexed [l, i]: the exterior derivative of omega is read off it."""
+        return _partials(self.omega_j)
+
+    @cached_property
     def a_j(self):
         """Jets of the chart components a^i of JH: a^i = g^{ij} omega_j."""
-        ginv, om = self.ginv_j, self.omega_j
-        return [ginv[i][0] * om[0] + ginv[i][1] * om[1] for i in range(2)]
+        return self._raise_j(self.omega_j)
 
     @cached_property
     def a(self) -> np.ndarray:
@@ -458,24 +469,27 @@ class ChartFrame:
 
     @cached_property
     def div_JH_j(self) -> Jet2:
-        """Jet of Div(JH) = (1/sqrt g) d_i (sqrt g a^i); value and gradient exact."""
-        s = self.sqrt_det_j
-        flux_x = (s * self.a_j[0]).dx()
-        flux_y = (s * self.a_j[1]).dy()
-        return (flux_x + flux_y) / s
+        """Jet of Div(JH) = (1/sqrt g) d_i (sqrt g a^i), two degrees below F."""
+        return self._divergence_j(self.a_j)
 
     @cached_property
     def div_JH(self) -> np.ndarray:
         return np.real(self.div_JH_j.value)
 
     @cached_property
-    def grad_div_JH(self) -> np.ndarray:
-        """(grad Div JH)^i = g^{ij} d_j Div(JH), exact from the Div jet."""
+    def grad_div_JH_j(self):
+        """Jets of (grad Div JH)^i = g^{ij} d_j Div(JH)."""
         d = self.div_JH_j
-        ddiv = np.array(
-            [np.real(jets.extract_partial(d, 1, 0)), np.real(jets.extract_partial(d, 0, 1))]
-        )
-        return np.einsum("ij...,j...->i...", self.g_inv, ddiv)
+        return self._raise_j([d.dx(), d.dy()])
+
+    @cached_property
+    def grad_div_JH(self) -> np.ndarray:
+        return np.array([np.real(c.value) for c in self.grad_div_JH_j])
+
+    @cached_property
+    def laplace_div_JH(self) -> np.ndarray:
+        """Delta Div(JH), the fourth-order term of the csL-Willmore equation (degree 5)."""
+        return np.real(self._laplacian_j(self.div_JH_j).value)
 
     @cached_property
     def nabla_a_j(self):
@@ -508,21 +522,8 @@ class ChartFrame:
     @cached_property
     def laplace_JH(self) -> np.ndarray:
         """Rough Laplacian values (Delta JH)^k = g^{ij} (nabla_i nabla_j JH)^k."""
-        T = self.nabla_a_j  # T[j][k] jets, degree >= 1 at construction degree 4
-        gamma = self.gamma
-        dT = np.array(
-            [
-                [
-                    [
-                        np.real(jets.extract_partial(T[j][k], 1 - i, i))
-                        for k in range(2)
-                    ]
-                    for j in range(2)
-                ]
-                for i in range(2)
-            ]
-        )  # dT[i, j, k] = d_i T_j^k
-        Tv = self.nabla_a
+        gamma, Tv = self.gamma, self.nabla_a
+        dT = _partials(self.nabla_a_j)  # dT[i, j, k] = d_i T_j^k
         # (nabla_i T)_j^k = d_i T_j^k + Gamma^k_{il} T_j^l - Gamma^l_{ij} T_l^k
         nabla_T = (
             dT
@@ -533,16 +534,15 @@ class ChartFrame:
 
     @cached_property
     def laplace_norm_H_sq(self) -> np.ndarray:
-        """Scalar Laplace-Beltrami of |H|^2, exact from the degree-2 |H|^2 jet."""
-        f = self.norm_H_sq_j
-        s, ginv = self.sqrt_det_j, self.ginv_j
-        df = [f.dx(), f.dy()]
-        flux = [
-            s * (ginv[0][0] * df[0] + ginv[0][1] * df[1]),
-            s * (ginv[1][0] * df[0] + ginv[1][1] * df[1]),
-        ]
-        lap = (flux[0].dx() + flux[1].dy()) / s
-        return np.real(lap.value)
+        """Scalar Laplace-Beltrami of |H|^2, exact from the |H|^2 jet."""
+        return np.real(self._laplacian_j(self.norm_H_sq_j).value)
+
+    @cached_property
+    def laplace_log_H(self) -> np.ndarray:
+        """Delta log|H| = (Delta|H|^2 / |H|^2 - |grad |H|^2|^2 / |H|^4) / 2, where H != 0."""
+        f, grad = self.norm_H_sq, self.grad_norm_H_sq
+        grad_sq = np.einsum("ij...,i...,j...->...", self.g, grad, grad)
+        return 0.5 * (self.laplace_norm_H_sq / f - grad_sq / f**2)
 
     @cached_property
     def sigma_chart_j(self):
@@ -566,10 +566,75 @@ class ChartFrame:
         )
 
     @cached_property
-    def B_JH_JH(self) -> np.ndarray:
-        """Ambient vector B(JH, JH) = a^i a^j B_ij."""
-        a, B = self.a, self.B
-        return np.einsum("i...,j...,ijm...->m...", a, a, B)
+    def d_sigma_chart(self) -> np.ndarray:
+        """Chart partials d_l sigma_ijk, indexed [l, i, j, k]."""
+        return _partials(self.sigma_chart_j)
+
+    @cached_property
+    def B_JH_JH_j(self):
+        """Jet-vector B(JH, JH) = a^i a^j B_ij."""
+        a, B = self.a_j, self.B_j
+        return tuple(
+            a[0] * a[0] * B[0][0][m]
+            + a[0] * a[1] * B[0][1][m]
+            + a[1] * a[0] * B[1][0][m]
+            + a[1] * a[1] * B[1][1][m]
+            for m in range(3)
+        )
+
+    @cached_property
+    def div_JB_JH_JH(self) -> np.ndarray:
+        """Div(J B(JH, JH)) of the tangential part."""
+        return self._div_field(jv_J(self.B_JH_JH_j))
+
+    @cached_property
+    def willmore_j(self):
+        """Jet-vector of the Willmore-Legendrian operator W, half the bracket
+
+        -J grad Div(JH) + B(JH,JH) - |H|^2 H / 2 - 2 Div(JH) R,  R = -iF,
+
+        so that <W, R> = -Div(JH).
+        """
+        gd, div, h2 = self.grad_div_JH_j, self.div_JH_j, self.norm_H_sq_j
+        return tuple(
+            (
+                (gd[0] * self.Fx[m] + gd[1] * self.Fy[m]) * -1j
+                + self.B_JH_JH_j[m]
+                - h2 * self.H_j[m] * 0.5
+                + div * self.F[m] * 2j
+            )
+            * 0.5
+            for m in range(3)
+        )
+
+    @cached_property
+    def willmore(self) -> np.ndarray:
+        return values(self.willmore_j)
+
+    @cached_property
+    def div_JW_minus_2JH(self) -> np.ndarray:
+        """Div(J W - 2 JH) of the tangential part: the direct csL-Willmore form (degree 5)."""
+        return self._div_field(
+            tuple(w * 1j - jh * 2.0 for w, jh in zip(self.willmore_j, self.JH_j))
+        )
+
+    @cached_property
+    def normal_laplacian_H(self) -> np.ndarray:
+        """Delta^nu H = g^{ij} (nabla^nu_i nabla^nu_j H - Gamma^k_ij nabla^nu_k H).
+
+        nabla^nu is the normal part of the chart derivative: it drops the
+        tangential and the radial (sphere) components.
+        """
+        dH = [self._normal_j(jv_dx(self.H_j)), self._normal_j(jv_dy(self.H_j))]
+        dH_v = [values(v) for v in dH]
+        out = 0.0
+        for i, d_i in enumerate((jv_dx, jv_dy)):
+            for j in range(2):
+                second = values(self._normal_j(d_i(dH[j])))
+                for k in range(2):
+                    second = second - self.gamma[k, i, j] * dH_v[k]
+                out = out + self.g_inv[i, j] * second
+        return out
 
     @cached_property
     def obstruction_density(self) -> np.ndarray:
@@ -586,11 +651,38 @@ class ChartFrame:
     @cached_property
     def grad_norm_H_sq(self) -> np.ndarray:
         """(grad |H|^2)^i values, exact from the |H|^2 jet."""
-        f = self.norm_H_sq_j
-        df = np.array(
-            [np.real(jets.extract_partial(f, 1, 0)), np.real(jets.extract_partial(f, 0, 1))]
+        return np.einsum("ij...,j...->i...", self.g_inv, _partials(self.norm_H_sq_j))
+
+    # --- jet calculus on the surface ---
+
+    def _raise_j(self, w):
+        """Jets of the chart vector g^{ij} w_j of a one-form w."""
+        ginv = self.ginv_j
+        return [ginv[i][0] * w[0] + ginv[i][1] * w[1] for i in range(2)]
+
+    def _tangent_j(self, V):
+        """Chart components g^{ij} real_inner(V, F_j) of an ambient jet-vector V."""
+        return self._raise_j([jreal(V, Fj) for Fj in (self.Fx, self.Fy)])
+
+    def _normal_j(self, V):
+        """V minus its tangential and radial parts (jet-vector)."""
+        c, r = self._tangent_j(V), jreal(V, self.F)
+        return tuple(
+            V[m] - c[0] * self.Fx[m] - c[1] * self.Fy[m] - r * self.F[m] for m in range(3)
         )
-        return np.einsum("ij...,j...->i...", self.g_inv, df)
+
+    def _divergence_j(self, c) -> Jet2:
+        """Jet of (1/sqrt g) d_i (sqrt g c^i) for chart components c^i (one degree lower)."""
+        s = self.sqrt_det_j
+        return ((s * c[0]).dx() + (s * c[1]).dy()) / s
+
+    def _laplacian_j(self, f: Jet2) -> Jet2:
+        """Jet of the Laplace-Beltrami of a scalar jet (two degrees lower)."""
+        return self._divergence_j(self._raise_j([f.dx(), f.dy()]))
+
+    def _div_field(self, V) -> np.ndarray:
+        """Divergence values of the tangential part of an ambient jet-vector V."""
+        return np.real(self._divergence_j(self._tangent_j(V)).value)
 
     # --- frame values ---
 

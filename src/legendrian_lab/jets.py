@@ -1,4 +1,4 @@
-"""Truncated bivariate Taylor arithmetic (jets) of degree at most 4.
+"""Truncated bivariate Taylor arithmetic (jets) of degree at most 5.
 
 A jet stores the coefficients c_jk = (d^{j+k} f / dx^j dy^k) / (j! k!) of a
 smooth function at an (implicit) expansion point, for all j+k <= degree.
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DegreeError, DivideByZeroJetError, DomainError, OrderError
 
-MAX_DEGREE = 4
+MAX_DEGREE = 5
 
 #: Divisor constant terms at or below this magnitude raise ERR_DIVIDE_BY_ZERO_JET.
 DIVIDE_TOL = 1e-14

@@ -1,20 +1,24 @@
-"""Differential operators on surface fields and the variational residuals.
+"""Variational residuals, the identity suite and the energy of a surface chart.
 
 Derivative strategy (the accuracy budget everything below leans on):
 
-* Pointwise quantities (metric, B, H, JH, Div(JH), its exact chart gradient,
-  the rough Laplacian of JH, |nabla JH|^2, Delta|H|^2, B(JH,JH), the
-  obstruction trace) come out of the degree-4 jet chain in
-  ``geometry.ChartFrame`` with no finite-difference error.
+* Every residual and identity term comes out of the degree-5 jet chain in
+  ``geometry.ChartFrame`` with no finite-difference error: the metric, B, H,
+  JH, Div(JH) and its gradient, Delta Div(JH), the direct form
+  Div(J W - 2 JH), Div(J B(JH,JH)), the rough Laplacian of JH, the
+  normal-bundle Laplacian of H, |nabla JH|^2, Delta|H|^2, Delta log|H|, the
+  obstruction trace and the chart partials of the cubic form and of the
+  one-form dual to JH.  One sweep builds one frame per batch of points.
+  (The two Sasakian checks test the ambient sphere, not the surface; they
+  differentiate along great circles with their own 4-point stencil.)
 
-* Anything that differentiates a *derived field* (generic divergence,
-  gradient, Laplace-Beltrami, covariant derivatives of user fields,
-  Delta Div(JH), the normal-bundle Laplacian of H, Brioschi curvature from
-  the metric, closedness and four-symmetry checks) uses 4th-order central
-  differences with step h = 1e-3 * (1 + |coordinate|) and one Richardson
-  extrapolation level, nested at most two deep.  Each level contributes
-  roughly h^4 ~ 1e-12 relative error, which is what the tolerance ladder
-  encodes.
+* Finite differences are the independent cross-check, not a second engine:
+  ``partial_derivative`` (4th-order central differences with step
+  h = 1e-3 * (1 + |coordinate|) and one Richardson extrapolation level,
+  about 1e-12 relative error) feeds only ``brioschi_curvature_fd``, whose
+  ``gauss_vs_brioschi_fd`` check compares Richardson second derivatives of
+  the metric with the Gauss equation, and the tests, which hold the jets to
+  it.
 
 Residuals implemented (ambient Euclidean norm for vector equations,
 absolute value for scalar ones):
@@ -230,7 +234,7 @@ def partial_derivative(spec: ImmersionSpec, f, xs, ys, axis: int) -> np.ndarray:
     return (16.0 * d_h2 - d_h) / 15.0
 
 
-# -- generic chart operators --------------------------------------------------
+# -- the JH field -------------------------------------------------------------
 
 
 def field_JH(spec: ImmersionSpec, x, y):
@@ -254,83 +258,10 @@ def field_JH(spec: ImmersionSpec, x, y):
     return a[0], a[1]
 
 
-def jh_field(spec: ImmersionSpec):
-    """The TangentField evaluator for J H (no tangency gate, for stencils)."""
-
-    def evaluate(xs, ys):
-        return ChartFrame(spec, xs, ys, degree=2, wrap=False).a
-
-    return evaluate
-
-
-def divergence(spec: ImmersionSpec, field, x, y):
-    """Metric divergence (1/sqrt g) d_i(sqrt g a^i) of a tangent field.
-
-    ``field(xs, ys) -> (2, n)`` chart components; differentiation by the
-    module's finite-difference stencil on the jet-exact flux values.
-    """
-    xs, ys, scalar = _as_1d(x, y)
-
-    def flux(px, py):
-        a = np.asarray(field(px, py))
-        sd = np.sqrt(ChartFrame(spec, px, py, degree=1, wrap=False).det_g)
-        return sd * a
-
-    ddx = partial_derivative(spec, flux, xs, ys, 0)[0]
-    ddy = partial_derivative(spec, flux, xs, ys, 1)[1]
-    out = (ddx + ddy) / np.sqrt(ChartFrame(spec, xs, ys, degree=1, wrap=False).det_g)
-    return float(out[0]) if scalar else out
-
-
-def gradient(spec: ImmersionSpec, scalar_field, x, y):
-    """Metric gradient components g^{ij} d_j f of a scalar field."""
-    xs, ys, scalar = _as_1d(x, y)
-    df = np.stack(
-        [
-            partial_derivative(spec, scalar_field, xs, ys, 0),
-            partial_derivative(spec, scalar_field, xs, ys, 1),
-        ]
-    )
-    g_inv = ChartFrame(spec, xs, ys, degree=1, wrap=False).g_inv
-    out = np.einsum("ij...,j...->i...", g_inv, df)
-    if scalar:
-        return float(out[0][0]), float(out[1][0])
-    return out
-
-
-def laplace_beltrami(spec: ImmersionSpec, scalar_field, x, y):
-    """Laplace-Beltrami of a scalar field: divergence of its gradient."""
-
-    def grad_field(px, py):
-        return np.asarray(gradient(spec, scalar_field, px, py))
-
-    return divergence(spec, grad_field, x, y)
-
-
-def covariant_derivative(spec: ImmersionSpec, field, x, y):
-    """nabla_i a^j = d_i a^j + Gamma^j_{ik} a^k, indexed [i, j].
-
-    The chart partials of the field come from finite differences; the
-    Christoffel symbols are jet-exact.
-    """
-    xs, ys, scalar = _as_1d(x, y)
-    da = np.stack(
-        [
-            partial_derivative(spec, field, xs, ys, 0),
-            partial_derivative(spec, field, xs, ys, 1),
-        ]
-    )  # da[i, j] = d_i a^j
-    fr = ChartFrame(spec, xs, ys, degree=2, wrap=False)
-    a = np.asarray(field(xs, ys))
-    T = da + np.einsum("jik...,k...->ij...", fr.gamma, a)
-    return T[..., 0] if scalar else T
-
-
 def nabla_JH_pack(spec: ImmersionSpec, x, y):
     """(nabla JH, |nabla JH|^2) from the jet chain (no finite differences).
 
-    Returns (T, s) with T[i, j] = (nabla_i JH)^j.  The generic
-    ``covariant_derivative`` applied to the JH field cross-checks this.
+    Returns (T, s) with T[i, j] = (nabla_i JH)^j.
     """
     xs, ys, scalar = _as_1d(x, y)
     fr = ChartFrame(spec, xs, ys, degree=4, wrap=False)
@@ -343,81 +274,43 @@ def nabla_JH_pack(spec: ImmersionSpec, x, y):
 # -- Willmore machinery -------------------------------------------------------
 
 
-def _willmore_bracket(fr: ChartFrame) -> np.ndarray:
-    """-J grad Div(JH) + B(JH,JH) - |H|^2 H / 2 - 2 Div(JH) R (ambient)."""
-    gd = fr.grad_div_JH
-    gd_amb = gd[0] * fr.Fx_v + gd[1] * fr.Fy_v
-    R = ambient.reeb(fr.F_v)
-    return (
-        -ambient.apply_J(gd_amb)
-        + fr.B_JH_JH
-        - 0.5 * fr.norm_H_sq * fr.H
-        - 2.0 * fr.div_JH * R
-    )
-
-
 def willmore_operator(spec: ImmersionSpec, x, y):
     """The Willmore-Legendrian operator W (ambient vector, shape (3, n)).
 
-    W = (bracket)/2 with the bracket above; <W, R> = -Div(JH).
+    W is half of -J grad Div(JH) + B(JH,JH) - |H|^2 H / 2 - 2 Div(JH) R;
+    <W, R> = -Div(JH).
     """
     xs, ys, scalar = _as_1d(x, y)
-    fr = ChartFrame(spec, xs, ys, degree=4, wrap=False)
-    W = 0.5 * _willmore_bracket(fr)
+    W = ChartFrame(spec, xs, ys, degree=4, wrap=False).willmore
     return W[:, 0] if scalar else W
+
+
+def _willmore_legendrian(fr: ChartFrame) -> np.ndarray:
+    """Euclidean norm of the Willmore-Legendrian bracket 2 W."""
+    return 2.0 * np.sqrt(np.sum(np.abs(fr.willmore) ** 2, axis=0))
 
 
 def residual_willmore_legendrian(spec: ImmersionSpec, x, y):
     """Euclidean norm of the Willmore-Legendrian equation's left side."""
     xs, ys, scalar = _as_1d(x, y)
-    fr = ChartFrame(spec, xs, ys, degree=4, wrap=False)
-    res = np.sqrt(np.sum(np.abs(_willmore_bracket(fr)) ** 2, axis=0))
+    res = _willmore_legendrian(ChartFrame(spec, xs, ys, degree=4, wrap=False))
     return float(res[0]) if scalar else res
 
 
-def _grad_div_field(spec: ImmersionSpec):
-    def evaluate(xs, ys):
-        return ChartFrame(spec, xs, ys, degree=4, wrap=False).grad_div_JH
-
-    return evaluate
-
-
-def laplace_div_JH(spec: ImmersionSpec, x, y):
-    """Delta Div(JH): finite-difference divergence of the exact gradient field."""
-    return divergence(spec, _grad_div_field(spec), x, y)
+def _csl_willmore(fr: ChartFrame) -> np.ndarray:
+    return np.abs(
+        fr.laplace_div_JH
+        + 2.0 * fr.obstruction_density
+        - 0.5 * fr.norm_H_sq * fr.div_JH
+        - 4.0 * fr.div_JH
+    )
 
 
 def residual_csl_willmore(spec: ImmersionSpec, x, y):
     """|Delta Div(JH) + 2 trace<B(., nabla . JH), H> - |H|^2 Div/2 - 4 Div|."""
     xs, ys, scalar = _as_1d(x, y)
-    fr = ChartFrame(spec, xs, ys, degree=4, wrap=False)
-    lap = divergence(spec, _grad_div_field(spec), xs, ys)
-    res = np.abs(
-        lap
-        + 2.0 * fr.obstruction_density
-        - 0.5 * fr.norm_H_sq * fr.div_JH
-        - 4.0 * fr.div_JH
-    )
+    res = _csl_willmore(ChartFrame(spec, xs, ys, degree=5, wrap=False))
     return float(res[0]) if scalar else res
-
-
-def csl_willmore_direct(spec: ImmersionSpec, x, y):
-    """Direct-form residual |Div(J W - 2 JH)| (one finite-difference level).
-
-    J W - 2 JH is tangent up to radial terms that the chart projection
-    discards; its divergence vanishes exactly on csL-Willmore surfaces.
-    """
-
-    def field(px, py):
-        fr = ChartFrame(spec, px, py, degree=4, wrap=False)
-        vec = ambient.apply_J(0.5 * _willmore_bracket(fr)) - 2.0 * fr.JH
-        w = np.stack(
-            [ambient.real_inner(vec, fr.Fx_v), ambient.real_inner(vec, fr.Fy_v)]
-        )
-        return np.einsum("ij...,j...->i...", fr.g_inv, w)
-
-    out = divergence(spec, field, x, y)
-    return abs(out) if np.isscalar(out) else np.abs(out)
 
 
 def obstruction_trace(spec: ImmersionSpec, x, y):
@@ -451,55 +344,6 @@ def brioschi_curvature_fd(spec: ImmersionSpec, x, y):
 
 
 # -- the identity suite -------------------------------------------------------
-
-
-def _normal_projector(fr: ChartFrame):
-    """Remove tangential (e1, e2) and radial (F) parts of ambient vectors."""
-    e1, e2, p = fr.e1, fr.e2, fr.F_v
-
-    def project(v):
-        return (
-            v
-            - ambient.real_inner(v, e1) * e1
-            - ambient.real_inner(v, e2) * e2
-            - ambient.real_inner(v, p) * p
-        )
-
-    return project
-
-
-def normal_laplacian_H(spec: ImmersionSpec, xs, ys) -> np.ndarray:
-    """Delta^nu H by nested finite differences with normal-connection projection.
-
-    Delta^nu H = g^{ij} (nabla^nu_i (nabla^nu_j H) - Gamma^k_{ij} nabla^nu_k H)
-    where nabla^nu_X xi projects the sphere derivative onto the normal bundle
-    (spanned by J e_1, J e_2 and the Reeb direction) at each point.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-
-    def h_field(px, py):
-        return ChartFrame(spec, px, py, degree=2, wrap=False).H
-
-    def w_field(px, py):
-        frp = ChartFrame(spec, px, py, degree=2, wrap=False)
-        project = _normal_projector(frp)
-        dH = [partial_derivative(spec, h_field, px, py, axis) for axis in range(2)]
-        return np.stack([project(d) for d in dH])  # (2, 3, n)
-
-    base = ChartFrame(spec, xs, ys, degree=4, wrap=False)
-    project0 = _normal_projector(base)
-    W = w_field(xs, ys)
-    dW = [partial_derivative(spec, w_field, xs, ys, axis) for axis in range(2)]
-    g_inv, gamma = base.g_inv, base.gamma
-    out = np.zeros_like(base.H)
-    for i in range(2):
-        for j in range(2):
-            second = project0(dW[i][j])
-            for k in range(2):
-                second = second - gamma[k, i, j] * W[k]
-            out = out + g_inv[i, j] * second
-    return out
 
 
 def _sasakian_residuals(
@@ -564,7 +408,7 @@ def identity_suite(
     xs, ys = (np.asarray(a, dtype=float) for a in points)
     n = xs.size
     tol = {k: v * tolerance_scale for k, v in IDENTITY_TOLERANCES.items()}
-    fr = ChartFrame(spec, xs, ys, degree=4, wrap=False)
+    fr = ChartFrame(spec, xs, ys, degree=5, wrap=False)
     checks: list[CheckResult] = []
 
     checks.append(
@@ -616,9 +460,8 @@ def identity_suite(
     checks.append(_make_check("ricci_identity", ricci_norm, tol["ricci_identity"]))
 
     # Normal-bundle Laplacian identity.
-    lap_nu = normal_laplacian_H(spec, xs, ys)
     lap_JH_amb = fr.laplace_JH[0] * fr.Fx_v + fr.laplace_JH[1] * fr.Fy_v
-    nl = lap_nu + ambient.apply_J(lap_JH_amb) + fr.H + 2.0 * fr.div_JH * R
+    nl = fr.normal_laplacian_H + ambient.apply_J(lap_JH_amb) + fr.H + 2.0 * fr.div_JH * R
     checks.append(
         _make_check(
             "normal_laplacian",
@@ -628,17 +471,10 @@ def identity_suite(
     )
 
     # Div(J B(JH,JH)) identity.
-    def jb_field(px, py):
-        frp = ChartFrame(spec, px, py, degree=2, wrap=False)
-        vec = ambient.apply_J(frp.B_JH_JH)
-        w = np.stack(
-            [ambient.real_inner(vec, frp.Fx_v), ambient.real_inner(vec, frp.Fy_v)]
-        )
-        return np.einsum("ij...,j...->i...", frp.g_inv, w)
-
-    div_jb = divergence(spec, jb_field, xs, ys)
     grad_h2_along_JH = np.einsum("i...,ij...,j...->...", fr.a, fr.g, fr.grad_norm_H_sq)
-    div_jb_res = np.abs(div_jb - 2.0 * fr.obstruction_density - 0.5 * grad_h2_along_JH)
+    div_jb_res = np.abs(
+        fr.div_JB_JH_JH - 2.0 * fr.obstruction_density - 0.5 * grad_h2_along_JH
+    )
     checks.append(_make_check("div_jb_identity", div_jb_res, tol["div_jb_identity"]))
 
     # csL gate for the csL-only identities.
@@ -655,11 +491,7 @@ def identity_suite(
     big_h = np.sqrt(fr.norm_H_sq) >= SMALL_H
     log_mask = csl_mask & big_h
     if np.any(log_mask):
-        def log_h_field(px, py):
-            return 0.5 * np.log(ChartFrame(spec, px, py, degree=2, wrap=False).norm_H_sq)
-
-        lap_log = laplace_beltrami(spec, log_h_field, xs, ys)
-        log_res = np.abs(lap_log - fr.kappa)
+        log_res = np.abs(fr.laplace_log_H - fr.kappa)
     else:
         log_res = np.zeros(n)
     checks.append(
@@ -667,18 +499,9 @@ def identity_suite(
     )
 
     # Four-symmetry of the covariant derivative of sigma (chart components).
-    def sigma_field(px, py):
-        return ChartFrame(spec, px, py, degree=2, wrap=False).sigma_chart
-
-    dsig = np.stack(
-        [
-            partial_derivative(spec, sigma_field, xs, ys, 0),
-            partial_derivative(spec, sigma_field, xs, ys, 1),
-        ]
-    )  # [l, i, j, k]
     sig_c, gamma = fr.sigma_chart, fr.gamma
     nabla_sigma = (
-        dsig
+        fr.d_sigma_chart
         - np.einsum("mli...,mjk...->lijk...", gamma, sig_c)
         - np.einsum("mlj...,imk...->lijk...", gamma, sig_c)
         - np.einsum("mlk...,ijm...->lijk...", gamma, sig_c)
@@ -693,14 +516,9 @@ def identity_suite(
     checks.append(_make_check("four_symmetry", four, tol["four_symmetry"]))
 
     # Closedness of the one-form dual to JH.
-    def omega_field(px, py):
-        frp = ChartFrame(spec, px, py, degree=2, wrap=False)
-        return np.stack([np.real(o.value) for o in frp.omega_j])
-
-    d_omega_x = partial_derivative(spec, omega_field, xs, ys, 0)[1]
-    d_omega_y = partial_derivative(spec, omega_field, xs, ys, 1)[0]
+    d_omega = fr.d_omega
     checks.append(
-        _make_check("closedness", np.abs(d_omega_x - d_omega_y), tol["closedness"])
+        _make_check("closedness", np.abs(d_omega[0, 1] - d_omega[1, 0]), tol["closedness"])
     )
 
     # Sasakian identities of the ambient sphere at the surface points.
@@ -763,14 +581,13 @@ def willmore_energy(spec: ImmersionSpec, grid: tuple[int, int] = (64, 64)):
 
 def _grid_residuals(spec: ImmersionSpec, xs, ys) -> dict[str, np.ndarray]:
     """Per-point residual magnitudes used by the verify command."""
-    fr = ChartFrame(spec, xs, ys, degree=4, wrap=False)
-    bracket = _willmore_bracket(fr)
+    fr = ChartFrame(spec, xs, ys, degree=5, wrap=False)
     return {
         "legendrian_defect": legendrian_defect(fr.F),
         "csl_residual": np.abs(fr.div_JH),
-        "willmore_legendrian_residual": np.sqrt(np.sum(np.abs(bracket) ** 2, axis=0)),
-        "csl_willmore_residual": residual_csl_willmore(spec, xs, ys),
-        "csl_willmore_direct": csl_willmore_direct(spec, xs, ys),
+        "willmore_legendrian_residual": _willmore_legendrian(fr),
+        "csl_willmore_residual": _csl_willmore(fr),
+        "csl_willmore_direct": np.abs(fr.div_JW_minus_2JH),
         "obstruction_trace": np.abs(fr.obstruction_density),
         "norm_H": np.sqrt(fr.norm_H_sq),
     }

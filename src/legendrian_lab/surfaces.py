@@ -277,10 +277,13 @@ def evaluate_jet_batch(spec: ImmersionSpec, xs, ys, degree: int, wrap: bool = Tr
     else:
         raise UnsupportedSurfaceError(f"unknown surface family {spec.kind!r}")
     norm_sq = sum(np.abs(f.value) ** 2 for f in F)
-    worst = float(np.max(np.abs(np.sqrt(norm_sq) - 1.0)))
-    if worst > SPHERE_TOL:
+    dev = np.abs(np.sqrt(norm_sq) - 1.0)
+    dev, px, py = (np.ravel(a) for a in np.broadcast_arrays(dev, xs, ys))
+    worst = int(np.argmax(dev))
+    if dev[worst] > SPHERE_TOL:
         raise NotOnSphereError(
-            f"|F| deviates from 1 by {worst:.3e} on {spec.label}"
+            f"|F| deviates from 1 by {dev[worst]:.3e} at chart point "
+            f"(x, y) = ({px[worst]:.17g}, {py[worst]:.17g}) on {spec.label}"
         )
     return F
 

@@ -17,6 +17,16 @@ params = r1=0.8, r2=0.6, r3=0.6, r4=0.8
 periodic = true, true
 """
 
+#: F = (cos y * gamma(x), sin y) with gamma a Legendrian curve in S^3:
+#: Legendrian, but neither csL nor csL-Willmore.
+CONTROL_EXPR = """\
+f1 = cos(y)*cos(x)*exp(i*(x/2 - sin(2*x)/4))
+f2 = cos(y)*sin(x)*exp(-i*(x/2 + sin(2*x)/4))
+f3 = sin(y)
+periodic = true, false
+y_range = -1.2, 1.2
+"""
+
 
 def _run_json(capsys, argv):
     rc = cli.main(argv)
@@ -161,6 +171,20 @@ def test_classify_expression_twin_matches_builtin_verdicts(capsys, tmp_path):
         "willmore_legendrian": "no",
         "csl_willmore": "yes",
     }
+
+
+def test_non_csl_control_fails_exactly_the_csl_family(capsys, tmp_path):
+    control = tmp_path / "control.expr"
+    control.write_text(CONTROL_EXPR)
+    rc, payload = _run_json(capsys, ["verify", "--expr-file", str(control), "--format", "json"])
+    assert rc == 1
+    failing = {row["name"] for row in payload["checks"] if row["status"] == "FAIL"}
+    assert failing == {"csl_residual", "csl_willmore_residual", "obstruction_trace"}
+    rc, payload = _run_json(capsys, ["classify", "--expr-file", str(control), "--format", "json"])
+    assert rc == 0
+    verdicts = payload["aggregates"]["verdicts"]
+    assert verdicts["legendrian"] == "yes"
+    assert verdicts["csl"] == "no" and verdicts["csl_willmore"] == "no"
 
 
 def test_classify_always_exits_zero_even_for_plain_legendrian(capsys):

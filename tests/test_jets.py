@@ -201,4 +201,4 @@ def test_branch_cut_and_degenerate_divisions_raise():
     with pytest.raises(DivideByZeroJetError):
         jets.constant(0.0, 2).reciprocal()
     with pytest.raises(DegreeError):
-        jets.lift_point(0.0, 0.0, 5)
+        jets.lift_point(0.0, 0.0, jets.MAX_DEGREE + 1)

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from conftest import ALL_MEMBERS, build_members
 from legendrian_lab import ambient, geometry, operators, surfaces
 from legendrian_lab.errors import GridError, StencilOutOfDomainError
 
@@ -20,6 +21,73 @@ CALABI_WL_RESIDUAL = 0.49680527818357045
 MIRONOV_WL_RESIDUAL_AT_04_09 = 0.13059612731801856
 CALABI_AREA = 31.58273408348595
 CALABI_ENERGY = 36.00006744216796
+
+#: The non-csL control F = (cos y * gamma(x), sin y), gamma a Legendrian curve in S^3.
+CONTROL = surfaces.from_expression(
+    (
+        "cos(y)*cos(x)*exp(i*(x/2 - sin(2*x)/4))",
+        "cos(y)*sin(x)*exp(-i*(x/2 + sin(2*x)/4))",
+        "sin(y)",
+    ),
+    {},
+    ((0.0, TWO_PI), (-1.2, 1.2)),
+    periodic=(True, False),
+)
+
+
+# -- Richardson finite differences, the independent check on the jets ----------
+
+
+def _frame(spec, xs, ys, degree=2):
+    return geometry.ChartFrame(spec, xs, ys, degree=degree, wrap=False)
+
+
+def _fd_partials(spec, field, xs, ys):
+    """Stacked Richardson partials [d_x f, d_y f] of a vectorized field."""
+    return np.stack([operators.partial_derivative(spec, field, xs, ys, axis) for axis in (0, 1)])
+
+
+def _fd_divergence(spec, field, xs, ys):
+    """(1/sqrt g) d_i (sqrt g c^i) of chart components field(xs, ys) -> (2, n)."""
+
+    def flux(px, py):
+        return np.sqrt(_frame(spec, px, py, degree=1).det_g) * np.asarray(field(px, py))
+
+    d = _fd_partials(spec, flux, xs, ys)
+    return (d[0, 0] + d[1, 1]) / np.sqrt(_frame(spec, xs, ys, degree=1).det_g)
+
+
+def _chart_components(fr, vec):
+    """g^{ij} real_inner(vec, F_j) of an ambient vector field."""
+    w = np.stack([ambient.real_inner(vec, fr.Fx_v), ambient.real_inner(vec, fr.Fy_v)])
+    return np.einsum("ij...,j...->i...", fr.g_inv, w)
+
+
+def _jh_components(spec):
+    return lambda xs, ys: _frame(spec, xs, ys).a
+
+
+def _fd_normal_laplacian_H(spec, xs, ys):
+    """Delta^nu H by nested differences of H, projected with the orthonormal frame."""
+
+    def projector(fr):
+        e1, e2, p = fr.e1, fr.e2, fr.F_v
+        return lambda v: v - sum(ambient.real_inner(v, e) * e for e in (e1, e2, p))
+
+    def nabla_nu_H(px, py):
+        project = projector(_frame(spec, px, py))
+        dH = _fd_partials(spec, lambda qx, qy: _frame(spec, qx, qy).H, px, py)
+        return np.stack([project(d) for d in dH])
+
+    base = _frame(spec, xs, ys)
+    W, dW = nabla_nu_H(xs, ys), _fd_partials(spec, nabla_nu_H, xs, ys)
+    project = projector(base)
+    out = 0.0
+    for i in range(2):
+        for j in range(2):
+            second = project(dW[i, j]) - sum(base.gamma[k, i, j] * W[k] for k in range(2))
+            out = out + base.g_inv[i, j] * second
+    return out
 
 
 def test_field_JH_matches_the_closed_mean_curvature():
@@ -43,45 +111,32 @@ def test_divergence_of_JH_vanishes_on_both_families(residual_maps):
     assert np.max(residual_maps["mironov_121"]["csl_residual"]) < 1e-7
 
 
-def test_laplacian_of_a_constant_vanishes():
-    f = lambda xs, ys: np.ones_like(np.asarray(xs, dtype=float))
-    assert abs(operators.laplace_beltrami(CALABI, f, 1.0, 2.0)) < 1e-12
-    g1, g2 = operators.gradient(CALABI, f, 1.0, 2.0)
-    assert abs(g1) < 1e-12 and abs(g2) < 1e-12
-
-
-def _log_h_field(spec):
-    def f(xs, ys):
-        fr = geometry.ChartFrame(spec, xs, ys, degree=2, wrap=False)
-        return 0.5 * np.log(fr.norm_H_sq)
-
-    return f
-
-
 def test_log_mean_curvature_laplacian_reproduces_the_curvature():
     # |H| is constant and the metric flat on the torus with closed-form H...
-    assert abs(operators.laplace_beltrami(CALABI, _log_h_field(CALABI), 0.3, 0.7)) < 1e-8
+    fr = geometry.ChartFrame(CALABI, [0.3], [0.7], degree=5)
+    assert abs(fr.laplace_log_H[0]) < 1e-8
     assert abs(geometry.point_report(CALABI, 0.3, 0.7).kappa) < 1e-8
     # ... while the twisted family has Delta log|H| = kappa pointwise.
-    lap = operators.laplace_beltrami(MIRONOV, _log_h_field(MIRONOV), 0.4, 0.9)
+    lap = geometry.ChartFrame(MIRONOV, [0.4], [0.9], degree=5).laplace_log_H[0]
     kappa = geometry.point_report(MIRONOV, 0.4, 0.9).kappa
     assert lap == pytest.approx(kappa, abs=1e-5)
 
 
 def test_covariant_derivative_of_parallel_fields_vanishes():
-    nabla = operators.covariant_derivative(CALABI, operators.jh_field(CALABI), 0.3, 0.7)
+    nabla, _ = operators.nabla_JH_pack(CALABI, 0.3, 0.7)
     assert np.max(np.abs(nabla)) < 1e-8
-    coordinate_x = lambda xs, ys: (
-        np.ones_like(np.asarray(xs, dtype=float)),
-        np.zeros_like(np.asarray(xs, dtype=float)),
-    )
-    nabla = operators.covariant_derivative(CALABI, coordinate_x, 0.3, 0.7)
-    assert np.max(np.abs(nabla)) < 1e-10
+    # The coordinate field d_x is parallel too: nabla_i d_x = Gamma^j_{i0} d_j.
+    gamma = geometry.ChartFrame(CALABI, [0.3], [0.7], degree=2).gamma
+    assert np.max(np.abs(gamma[:, :, 0])) < 1e-10
 
 
 def test_covariant_derivative_agrees_with_the_jet_exact_route():
-    # Finite differences of the chart components against the jet-exact pack.
-    fd = operators.covariant_derivative(MIRONOV, operators.jh_field(MIRONOV), 0.4, 0.9)
+    # Finite differences of the chart components against the jet-exact pack:
+    # nabla_i a^j = d_i a^j + Gamma^j_{ik} a^k.
+    xs, ys = np.array([0.4]), np.array([0.9])
+    fr = _frame(MIRONOV, xs, ys)
+    da = _fd_partials(MIRONOV, _jh_components(MIRONOV), xs, ys)
+    fd = (da + np.einsum("jik...,k...->ij...", fr.gamma, fr.a))[..., 0]
     exact, norm_sq = operators.nabla_JH_pack(MIRONOV, 0.4, 0.9)
     assert np.max(np.abs(fd - exact)) < 1e-8
     assert norm_sq >= 0.0
@@ -98,7 +153,8 @@ def test_willmore_operator_values():
     # <W, R> = -Div(JH), the Reeb component of the variational vector.
     pf = geometry.point_report(MIRONOV, 0.4, 0.9)
     W = operators.willmore_operator(MIRONOV, 0.4, 0.9)
-    div = operators.divergence(MIRONOV, operators.jh_field(MIRONOV), 0.4, 0.9)
+    xs, ys = np.array([0.4]), np.array([0.9])
+    div = _fd_divergence(MIRONOV, _jh_components(MIRONOV), xs, ys)[0]
     assert abs(ambient.real_inner(W, pf.R) + div) < 1e-6
 
 
@@ -213,7 +269,9 @@ def test_energy_grid_is_validated():
 def test_stencils_refuse_to_leave_non_periodic_charts():
     sphere = surfaces.geodesic_sphere()
     with pytest.raises(StencilOutOfDomainError):
-        operators.divergence(sphere, operators.jh_field(sphere), 1.2 - 1e-5, 0.0)
+        operators.partial_derivative(
+            sphere, _jh_components(sphere), np.array([1.2 - 1e-5]), np.array([0.0]), 0
+        )
 
 
 def test_grid_residuals_are_worker_count_independent():
@@ -240,3 +298,36 @@ def test_run_verification_bundles_grid_and_identity_checks():
     assert "willmore_implies_minimal" in names
     for check in report.checks:
         assert check.max_residual >= check.rms_residual >= 0.0
+
+
+@pytest.mark.parametrize("name", ALL_MEMBERS + ("control",))
+def test_fourth_order_jets_match_nested_finite_differences(name):
+    # The jet-exact fourth-order terms against the nested Richardson stencils
+    # they replaced, at 10 seeded points; the control's values are about 1e3.
+    spec = CONTROL if name == "control" else build_members()[name]
+    xs, ys = surfaces.sample_points(spec, 10, seed=3)
+    fr = geometry.ChartFrame(spec, xs, ys, degree=5, wrap=False)
+
+    def grad_div(px, py):
+        return _frame(spec, px, py, degree=4).grad_div_JH
+
+    def jw_minus_2jh(px, py):
+        frp = _frame(spec, px, py, degree=4)
+        return _chart_components(frp, ambient.apply_J(frp.willmore) - 2.0 * frp.JH)
+
+    def jb(px, py):
+        frp = _frame(spec, px, py)
+        b_jh_jh = np.einsum("i...,j...,ijm...->m...", frp.a, frp.a, frp.B)
+        return _chart_components(frp, ambient.apply_J(b_jh_jh))
+
+    pairs = {
+        "laplace_div_JH": (fr.laplace_div_JH, _fd_divergence(spec, grad_div, xs, ys)),
+        "div_JW_minus_2JH": (fr.div_JW_minus_2JH, _fd_divergence(spec, jw_minus_2jh, xs, ys)),
+        "div_JB_JH_JH": (fr.div_JB_JH_JH, _fd_divergence(spec, jb, xs, ys)),
+    }
+    for key, (jet, fd) in pairs.items():
+        assert np.all(np.abs(jet - fd) < 1e-7 * (1.0 + np.abs(jet))), key
+    jet, fd = fr.normal_laplacian_H, _fd_normal_laplacian_H(spec, xs, ys)
+    size = np.sqrt(np.sum(np.abs(jet) ** 2, axis=0))
+    gap = np.sqrt(np.sum(np.abs(jet - fd) ** 2, axis=0))
+    assert np.all(gap < 1e-7 * (1.0 + size))

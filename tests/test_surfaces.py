@@ -103,6 +103,10 @@ def test_expression_surfaces_are_gated_at_evaluation_time():
     off = surfaces.from_expression(("1.1", "0", "0"), {}, DOM)
     with pytest.raises(NotOnSphereError):
         surfaces.evaluate_jet(off, 0.5, 0.5, 2)
+    # The error names the chart point where |F| is farthest from 1.
+    squashed = surfaces.from_expression(("1.1*cos(x)", "sin(x)", "0"), {}, DOM)
+    with pytest.raises(NotOnSphereError, match=r"\(x, y\) = \(0, 0\.5\)"):
+        surfaces.evaluate_jet_batch(squashed, [0.5 * math.pi, 0.0, 1.0], [0.25, 0.5, 0.75], 1)
     # A constant point on the sphere is fine to evaluate but has no metric.
     degenerate = surfaces.from_expression(("1", "0", "0"), {}, DOM)
     surfaces.evaluate_jet(degenerate, 0.5, 0.5, 2)
