@@ -57,15 +57,9 @@ from .geometry import ChartFrame, PointFrame, brioschi, legendrian_defect, point
 from .operators import (
     CheckResult,
     ResidualReport,
-    field_JH,
     identity_suite,
-    nabla_JH_pack,
-    obstruction_trace,
-    residual_csl_willmore,
-    residual_willmore_legendrian,
     run_verification,
     willmore_energy,
-    willmore_operator,
 )
 
 __version__ = "0.1.0"
@@ -123,12 +117,6 @@ __all__ = [
     "legendrian_defect",
     "brioschi",
     "point_report",
-    "field_JH",
-    "nabla_JH_pack",
-    "willmore_operator",
-    "residual_willmore_legendrian",
-    "residual_csl_willmore",
-    "obstruction_trace",
     "identity_suite",
     "willmore_energy",
     "run_verification",

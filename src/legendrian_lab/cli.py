@@ -35,12 +35,7 @@ import numpy as np
 from . import ambient
 from .errors import LabError, UnsupportedSurfaceError, ValidationError
 from .geometry import ChartFrame
-from .operators import (
-    CheckResult,
-    grid_residuals,
-    run_verification,
-    willmore_energy,
-)
+from .operators import grid_residuals, make_check, run_verification, willmore_energy
 from .surfaces import ImmersionSpec, from_expression, grid_points, surface_by_name
 
 #: Deviation tolerance for every closed-form table row.
@@ -61,18 +56,6 @@ CLASSIFY_EVIDENCE = {
     "csl": "grid-max |Div(JH)|",
     "willmore_legendrian": "grid-max Willmore-Legendrian residual",
     "csl_willmore": "grid-max csL-Willmore residual",
-}
-
-TABLE_DESCRIPTIONS = {
-    "metric": "closed-form induced metric",
-    "shape_operator_nu1": "shape operator for the unit normal J e_1 (orthonormal frame)",
-    "shape_operator_nu2": "shape operator for the unit normal J e_2 (orthonormal frame)",
-    "mean_curvature_mu": "mean curvature components in the J e_a frame",
-    "norm_H_sq": "squared mean curvature norm",
-    "gauss_curvature": "Gauss curvature of the induced metric",
-    "shape_operator_iFx": "chart quadratic form <B_ij, i F_x> (non-unit normal)",
-    "shape_operator_iFy": "chart quadratic form <B_ij, i F_y> (non-unit normal)",
-    "mean_curvature_components": "mean curvature pairings (<H, i F_x>, <H, i F_y>)",
 }
 
 
@@ -431,11 +414,6 @@ def _calabi_rows(spec: ImmersionSpec, nx: int, ny: int) -> list[TableRow]:
     xs, ys = grid_points(spec, nx, ny)
     fr = ChartFrame(spec, xs, ys, degree=4)
 
-    nu1 = ambient.apply_J(fr.e1)
-    nu2 = ambient.apply_J(fr.e2)
-    mu = np.stack(
-        [ambient.real_inner(fr.H, nu1), ambient.real_inner(fr.H, nu2)]
-    )
     A1 = fr.sigma_frame[:, :, 0]
     A2 = fr.sigma_frame[:, :, 1]
 
@@ -463,8 +441,8 @@ def _calabi_rows(spec: ImmersionSpec, nx: int, ny: int) -> list[TableRow]:
         TableRow(
             "mean_curvature_mu",
             [float(v) for v in mu_closed],
-            [float(v) for v in mu[:, 0]],
-            dev(mu, mu_closed),
+            [float(v) for v in fr.mu[:, 0]],
+            dev(fr.mu, mu_closed),
         ),
         TableRow(
             "norm_H_sq",
@@ -513,12 +491,7 @@ def _mironov_rows(spec: ImmersionSpec, nx: int, ny: int) -> list[TableRow]:
     zeros = np.zeros_like(xs)
 
     iFx, iFy = ambient.apply_J(fr.Fx_v), ambient.apply_J(fr.Fy_v)
-    A_x = np.array(
-        [[ambient.real_inner(fr.B[i, j], iFx) for j in range(2)] for i in range(2)]
-    )
-    A_y = np.array(
-        [[ambient.real_inner(fr.B[i, j], iFy) for j in range(2)] for i in range(2)]
-    )
+    A_x, A_y = fr.form(iFx), fr.form(iFy)
     h_comp = np.stack([ambient.real_inner(fr.H, iFx), ambient.real_inner(fr.H, iFy)])
 
     g_closed = np.array([[closed["g11"], zeros], [zeros, closed["g22"]]])
@@ -559,19 +532,7 @@ def cmd_table(config: RunConfig) -> int:
             f"table requires a calabi or mironov surface, got {spec.kind!r}"
         )
     tol = TABLE_TOLERANCE * config.tolerance_scale
-    checks = [
-        CheckResult(
-            name=row.name,
-            description=TABLE_DESCRIPTIONS[row.name],
-            n_points=config.nx * config.ny,
-            n_skipped=0,
-            max_residual=row.deviation,
-            rms_residual=row.deviation,
-            tolerance=tol,
-            status="PASS" if row.deviation < tol else "FAIL",
-        )
-        for row in rows
-    ]
+    checks = [make_check(row.name, row.deviation, tol) for row in rows]
     checks = _apply_overrides(checks, config.tolerance_overrides, config.tolerance_scale)
     payload = _base_payload(config)
     payload["table"] = [
@@ -593,19 +554,7 @@ def cmd_energy(config: RunConfig) -> int:
     area, energy = willmore_energy(config.spec, (config.nx, config.ny))
     area2, energy2 = willmore_energy(config.spec, (2 * config.nx, 2 * config.ny))
     tol = 1e-10 * config.tolerance_scale
-    drift = abs(energy2 - energy)
-    checks = [
-        CheckResult(
-            name="quadrature_doubling",
-            description="energy change under grid doubling (spectral stability)",
-            n_points=config.nx * config.ny,
-            n_skipped=0,
-            max_residual=drift,
-            rms_residual=drift,
-            tolerance=tol,
-            status="PASS" if drift < tol else "FAIL",
-        )
-    ]
+    checks = [make_check("quadrature_doubling", energy2 - energy, tol)]
     checks = _apply_overrides(checks, config.tolerance_overrides, config.tolerance_scale)
     payload = _base_payload(config)
     payload["quantities"] = {

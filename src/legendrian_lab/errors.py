@@ -33,9 +33,17 @@ class OrderError(LabError):
 
 
 class DivideByZeroJetError(LabError):
-    """Jet division by a jet whose constant term is (numerically) zero."""
+    """Jet division by a jet whose constant term is (numerically) zero.
+
+    ``magnitude`` holds the divisor's constant-term magnitudes over the batch,
+    so a caller that knows the batch's chart points can name the worst one.
+    """
 
     code = "ERR_DIVIDE_BY_ZERO_JET"
+
+    def __init__(self, message: str, magnitude):
+        super().__init__(message)
+        self.magnitude = magnitude
 
 
 class DomainError(LabError):

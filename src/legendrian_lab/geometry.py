@@ -12,14 +12,15 @@ Everything here is derived from jets of the immersion F at a chart point:
   and the Gauss curvature both intrinsically (Brioschi) and extrinsically
   (Gauss equation).
 
-One chain: ``ChartFrame`` keeps every quantity a *jet* over a whole batch of
-points, so higher operators (divergence of JH and its Laplacian, the
-Willmore operator and the divergence of J W - 2 JH, vector and normal-bundle
-Laplacians) come out with no finite-difference error, and the value-level
-arrays are read off the constant coefficients.  ``point_report`` is a
-one-point view of it, ``brioschi`` the single Brioschi formula (fed jet or
-finite-difference metric derivatives) and ``legendrian_defect`` the single
-per-point Legendrian defect.
+One chain and the one pointwise API: ``ChartFrame`` keeps every quantity a
+*jet* over a whole batch of points, so higher operators (divergence of JH
+and its Laplacian, the Willmore operator and the divergence of J W - 2 JH,
+vector and normal-bundle Laplacians, the Willmore-Legendrian and
+csL-Willmore residuals) come out with no finite-difference error, and the
+value-level arrays are read off the constant coefficients.  ``point_report``
+is a one-point view of it, ``brioschi`` the single Brioschi formula (fed jet
+or finite-difference metric derivatives) and ``legendrian_defect`` the
+single per-point Legendrian defect.
 
 Index conventions: chart indices i, j, k run over (x, y) = (0, 1);
 ``gamma[k, i, j]`` is Gamma^k_{ij}; arrays carrying several points append the
@@ -36,7 +37,7 @@ import numpy as np
 from . import ambient, jets
 from .errors import DegenerateMetricError
 from .jets import Jet2
-from .surfaces import ImmersionSpec, evaluate_jet_batch
+from .surfaces import ImmersionSpec, evaluate_jet_batch, wrap_point
 
 #: Metric determinants at or below this are treated as degenerate.
 DET_TOL = 1e-12
@@ -74,6 +75,13 @@ def jreal(U, V) -> Jet2:
 def values(F) -> np.ndarray:
     """Stack the values of a jet-vector into shape (3, *batch)."""
     return np.stack([np.asarray(f.value) for f in F])
+
+
+def _real(f) -> np.ndarray:
+    """Real values of a jet or of nested lists of them: ``_real(f)[i, ...] = Re f[i][...]``."""
+    if isinstance(f, Jet2):
+        return np.real(f.value)
+    return np.array([_real(g) for g in f])
 
 
 def _partials(f) -> np.ndarray:
@@ -180,22 +188,18 @@ def point_report(spec: ImmersionSpec, x: float, y: float) -> PointFrame:
     ``e1, e2`` is the Gram-Schmidt frame (F_x first), ``nu_a = J e_a`` and
     ``R`` the Reeb field; ``A_nu1``, ``A_nu2``, ``A_R`` are the chart quadratic
     forms <B_ij, normal>; ``kappa`` comes from the Gauss equation and
-    ``kappa_intrinsic`` from the Brioschi formula.
+    ``kappa_intrinsic`` from the Brioschi formula.  Periodic coordinates are
+    wrapped into the chart first; a non-periodic one outside it raises
+    ERR_DOMAIN.
     """
-    fr = ChartFrame(spec, [x], [y], degree=4)
+    x_c, y_c = wrap_point(spec, x, y)
+    fr = ChartFrame(spec, [x_c], [y_c], degree=4)
+    nu1, nu2, R = ambient.apply_J(fr.e1), ambient.apply_J(fr.e2), ambient.reeb(fr.F_v)
 
     def at(v):
         return v[..., 0]
 
     p, F_x, F_y = at(fr.F_v), at(fr.Fx_v), at(fr.Fy_v)
-    B, H, e1, e2 = at(fr.B), at(fr.H), at(fr.e1), at(fr.e2)
-    nu1, nu2, R = ambient.apply_J(e1), ambient.apply_J(e2), ambient.reeb(p)
-
-    def quadratic_form(normal):
-        return np.array(
-            [[ambient.real_inner(B[i, j], normal) for j in range(2)] for i in range(2)]
-        )
-
     return PointFrame(
         x=float(x),
         y=float(y),
@@ -209,18 +213,18 @@ def point_report(spec: ImmersionSpec, x: float, y: float) -> PointFrame:
         g_inv=at(fr.g_inv),
         det_g=float(at(fr.det_g)),
         gamma=at(fr.gamma),
-        e1=e1,
-        e2=e2,
-        nu1=nu1,
-        nu2=nu2,
-        R=R,
-        B=B,
+        e1=at(fr.e1),
+        e2=at(fr.e2),
+        nu1=at(nu1),
+        nu2=at(nu2),
+        R=at(R),
+        B=at(fr.B),
         sigma=at(fr.sigma_frame),
-        H=H,
-        mu=np.array([ambient.real_inner(H, nu1), ambient.real_inner(H, nu2)]),
-        A_nu1=quadratic_form(nu1),
-        A_nu2=quadratic_form(nu2),
-        A_R=quadratic_form(R),
+        H=at(fr.H),
+        mu=at(fr.mu),
+        A_nu1=at(fr.form(nu1)),
+        A_nu2=at(fr.form(nu2)),
+        A_R=at(fr.form(R)),
         kappa=float(at(fr.kappa)),
         kappa_intrinsic=float(at(fr.kappa_brioschi)),
         norm_H_sq=float(at(fr.norm_H_sq)),
@@ -243,15 +247,16 @@ class ChartFrame:
     operator, ``laplace_JH``, ``normal_laplacian_H``, the cubic-form
     partials); 2 is enough for the metric, B, H, JH and the cubic form.
     Properties are cached; all arrays put chart indices first and batch axes
-    last.
+    last.  Points are evaluated on the universal cover of the chart: no
+    periodic wrap and no domain check (see ``evaluate_jet_batch``).
     """
 
-    def __init__(self, spec: ImmersionSpec, xs, ys, degree: int = 4, wrap: bool = True):
+    def __init__(self, spec: ImmersionSpec, xs, ys, degree: int = 4):
         self.spec = spec
         self.xs = np.asarray(xs, dtype=float)
         self.ys = np.asarray(ys, dtype=float)
         self.degree = degree
-        self.F = evaluate_jet_batch(spec, self.xs, self.ys, degree, wrap=wrap)
+        self.F = evaluate_jet_batch(spec, self.xs, self.ys, degree, wrap=False)
 
     # --- first derivatives and metric ---
 
@@ -273,7 +278,7 @@ class ChartFrame:
     def det_j(self) -> Jet2:
         gj = self.gj
         det = gj[0][0] * gj[1][1] - gj[0][1] * gj[0][1]
-        d = np.ravel(np.real(det.value))
+        d = np.ravel(_real(det))
         if np.any(d <= DET_TOL):
             worst = int(np.argmin(d))
             x, y = (float(np.ravel(t)[worst]) for t in (self.xs, self.ys))
@@ -297,19 +302,15 @@ class ChartFrame:
 
     @cached_property
     def g(self) -> np.ndarray:
-        return np.array(
-            [[np.real(self.gj[i][j].value) for j in range(2)] for i in range(2)]
-        )
+        return _real(self.gj)
 
     @cached_property
     def g_inv(self) -> np.ndarray:
-        return np.array(
-            [[np.real(self.ginv_j[i][j].value) for j in range(2)] for i in range(2)]
-        )
+        return _real(self.ginv_j)
 
     @cached_property
     def det_g(self) -> np.ndarray:
-        return np.real(self.det_j.value)
+        return _real(self.det_j)
 
     @cached_property
     def dg(self) -> np.ndarray:
@@ -343,15 +344,7 @@ class ChartFrame:
 
     @cached_property
     def gamma(self) -> np.ndarray:
-        return np.array(
-            [
-                [
-                    [np.real(self.gamma_j[k][i][j].value) for j in range(2)]
-                    for i in range(2)
-                ]
-                for k in range(2)
-            ]
-        )
+        return _real(self.gamma_j)
 
     @cached_property
     def B_j(self):
@@ -409,7 +402,7 @@ class ChartFrame:
 
     @cached_property
     def norm_H_sq(self) -> np.ndarray:
-        return np.real(self.norm_H_sq_j.value)
+        return _real(self.norm_H_sq_j)
 
     @cached_property
     def norm_B_sq(self) -> np.ndarray:
@@ -465,7 +458,7 @@ class ChartFrame:
 
     @cached_property
     def a(self) -> np.ndarray:
-        return np.array([np.real(self.a_j[i].value) for i in range(2)])
+        return _real(self.a_j)
 
     @cached_property
     def div_JH_j(self) -> Jet2:
@@ -474,7 +467,7 @@ class ChartFrame:
 
     @cached_property
     def div_JH(self) -> np.ndarray:
-        return np.real(self.div_JH_j.value)
+        return _real(self.div_JH_j)
 
     @cached_property
     def grad_div_JH_j(self):
@@ -484,12 +477,12 @@ class ChartFrame:
 
     @cached_property
     def grad_div_JH(self) -> np.ndarray:
-        return np.array([np.real(c.value) for c in self.grad_div_JH_j])
+        return _real(self.grad_div_JH_j)
 
     @cached_property
     def laplace_div_JH(self) -> np.ndarray:
         """Delta Div(JH), the fourth-order term of the csL-Willmore equation (degree 5)."""
-        return np.real(self._laplacian_j(self.div_JH_j).value)
+        return _real(self._laplacian_j(self.div_JH_j))
 
     @cached_property
     def nabla_a_j(self):
@@ -504,12 +497,7 @@ class ChartFrame:
     @cached_property
     def nabla_a(self) -> np.ndarray:
         """Values T[i, k] = (nabla_i JH)^k."""
-        return np.array(
-            [
-                [np.real(self.nabla_a_j[i][k].value) for k in range(2)]
-                for i in range(2)
-            ]
-        )
+        return _real(self.nabla_a_j)
 
     @cached_property
     def norm_nabla_JH_sq(self) -> np.ndarray:
@@ -535,7 +523,7 @@ class ChartFrame:
     @cached_property
     def laplace_norm_H_sq(self) -> np.ndarray:
         """Scalar Laplace-Beltrami of |H|^2, exact from the |H|^2 jet."""
-        return np.real(self._laplacian_j(self.norm_H_sq_j).value)
+        return _real(self._laplacian_j(self.norm_H_sq_j))
 
     @cached_property
     def laplace_log_H(self) -> np.ndarray:
@@ -555,15 +543,7 @@ class ChartFrame:
 
     @cached_property
     def sigma_chart(self) -> np.ndarray:
-        return np.array(
-            [
-                [
-                    [np.real(self.sigma_chart_j[i][j][k].value) for k in range(2)]
-                    for j in range(2)
-                ]
-                for i in range(2)
-            ]
-        )
+        return _real(self.sigma_chart_j)
 
     @cached_property
     def d_sigma_chart(self) -> np.ndarray:
@@ -639,19 +619,35 @@ class ChartFrame:
     @cached_property
     def obstruction_density(self) -> np.ndarray:
         """trace <B(., nabla . JH), H> = g^{ij} T_j^k <B_ik, H> (values)."""
-        T = self.nabla_a
-        inner_BH = np.array(
-            [
-                [ambient.real_inner(self.B[i, k], self.H) for k in range(2)]
-                for i in range(2)
-            ]
+        return np.einsum("ij...,jk...,ik...->...", self.g_inv, self.nabla_a, self.form(self.H))
+
+    @cached_property
+    def willmore_legendrian_residual(self) -> np.ndarray:
+        """Euclidean norm of the Willmore-Legendrian bracket 2 W (degree 4)."""
+        return 2.0 * np.sqrt(np.sum(np.abs(self.willmore) ** 2, axis=0))
+
+    @cached_property
+    def csl_willmore_residual(self) -> np.ndarray:
+        """The csL-Willmore residual (degree 5), with D = Div(JH):
+
+        |Delta D + 2 trace<B(., nabla . JH), H> - |H|^2 D / 2 - 4 D|.
+        """
+        return np.abs(
+            self.laplace_div_JH
+            + 2.0 * self.obstruction_density
+            - 0.5 * self.norm_H_sq * self.div_JH
+            - 4.0 * self.div_JH
         )
-        return np.einsum("ij...,jk...,ik...->...", self.g_inv, T, inner_BH)
 
     @cached_property
     def grad_norm_H_sq(self) -> np.ndarray:
         """(grad |H|^2)^i values, exact from the |H|^2 jet."""
         return np.einsum("ij...,j...->i...", self.g_inv, _partials(self.norm_H_sq_j))
+
+    def form(self, N) -> np.ndarray:
+        """The chart quadratic form <B_ij, N> of an ambient vector field N, indexed [i, j]."""
+        B = self.B
+        return np.array([[ambient.real_inner(B[i, j], N) for j in range(2)] for i in range(2)])
 
     # --- jet calculus on the surface ---
 
@@ -682,7 +678,7 @@ class ChartFrame:
 
     def _div_field(self, V) -> np.ndarray:
         """Divergence values of the tangential part of an ambient jet-vector V."""
-        return np.real(self._divergence_j(self._tangent_j(V)).value)
+        return _real(self._divergence_j(self._tangent_j(V)))
 
     # --- frame values ---
 
@@ -726,3 +722,9 @@ class ChartFrame:
         return np.einsum(
             "ai...,bj...,ck...,ijk...->abc...", E, E, E, self.sigma_chart
         )
+
+    @cached_property
+    def mu(self) -> np.ndarray:
+        """Mean-curvature components mu_a = <H, J e_a> in the orthonormal normal frame."""
+        H = self.H
+        return np.array([ambient.real_inner(H, ambient.apply_J(e)) for e in (self.e1, self.e2)])

@@ -188,9 +188,10 @@ class Jet2:
     def reciprocal(self) -> "Jet2":
         """Multiplicative inverse via the truncated Neumann series."""
         b0 = self.coeffs[0]
-        if np.any(np.abs(b0) <= DIVIDE_TOL):
+        magnitude = np.abs(b0)
+        if np.any(magnitude <= DIVIDE_TOL):
             raise DivideByZeroJetError(
-                f"divisor constant term has magnitude <= {DIVIDE_TOL:g}"
+                f"divisor constant term has magnitude <= {DIVIDE_TOL:g}", magnitude
             )
         w = self * (1.0 / b0)
         w.coeffs[0] = w.coeffs[0] - 1.0  # w has zero constant term

@@ -1,10 +1,10 @@
-"""Variational residuals, the identity suite and the energy of a surface chart.
+"""Checks over ``geometry.ChartFrame`` sweeps: grid residuals, identities, energy.
 
 Derivative strategy (the accuracy budget everything below leans on):
 
 * Every residual and identity term comes out of the degree-5 jet chain in
-  ``geometry.ChartFrame`` with no finite-difference error: the metric, B, H,
-  JH, Div(JH) and its gradient, Delta Div(JH), the direct form
+  ``ChartFrame`` with no finite-difference error: the metric, B, H, JH,
+  Div(JH) and its gradient, Delta Div(JH), the direct form
   Div(J W - 2 JH), Div(J B(JH,JH)), the rough Laplacian of JH, the
   normal-bundle Laplacian of H, |nabla JH|^2, Delta|H|^2, Delta log|H|, the
   obstruction trace and the chart partials of the cubic form and of the
@@ -20,8 +20,8 @@ Derivative strategy (the accuracy budget everything below leans on):
   the metric with the Gauss equation, and the tests, which hold the jets to
   it.
 
-Residuals implemented (ambient Euclidean norm for vector equations,
-absolute value for scalar ones):
+Residuals swept by ``grid_residuals`` (ambient Euclidean norm for vector
+equations, absolute value for scalar ones), each a ``ChartFrame`` property:
 
 * csL:                  Div(JH) = 0
 * Willmore-Legendrian:  -J grad Div(JH) + B(JH,JH) - |H|^2 H / 2
@@ -47,7 +47,7 @@ from itertools import permutations
 import numpy as np
 
 from . import ambient
-from .errors import GridError, NotTangentError, StencilOutOfDomainError
+from .errors import GridError, StencilOutOfDomainError
 from .geometry import ChartFrame, brioschi, legendrian_defect
 from .surfaces import ImmersionSpec, grid_points, sample_points
 
@@ -115,6 +115,16 @@ CHECK_DESCRIPTIONS = {
     "obstruction_trace": "trace<B(., nabla . JH), H> = 0",
     "willmore_implies_minimal": "small Willmore-Legendrian residual forces small |H|",
     "willmore_legendrian_residual": "Willmore-Legendrian equation residual (grid max reported)",
+    "quadrature_doubling": "energy change under grid doubling (spectral stability)",
+    "metric": "closed-form induced metric",
+    "shape_operator_nu1": "shape operator for the unit normal J e_1 (orthonormal frame)",
+    "shape_operator_nu2": "shape operator for the unit normal J e_2 (orthonormal frame)",
+    "mean_curvature_mu": "mean curvature components in the J e_a frame",
+    "norm_H_sq": "squared mean curvature norm",
+    "gauss_curvature": "Gauss curvature of the induced metric",
+    "shape_operator_iFx": "chart quadratic form <B_ij, i F_x> (non-unit normal)",
+    "shape_operator_iFy": "chart quadratic form <B_ij, i F_y> (non-unit normal)",
+    "mean_curvature_components": "mean curvature pairings (<H, i F_x>, <H, i F_y>)",
 }
 
 
@@ -152,12 +162,17 @@ class ResidualReport:
         return all(c.passed for c in self.checks)
 
 
-def _make_check(
+def make_check(
     name: str,
     residuals: np.ndarray,
     tolerance: float,
     used_mask: np.ndarray | None = None,
 ) -> CheckResult:
+    """Aggregate per-point residuals (or one scalar) into a named check.
+
+    Points outside ``used_mask`` count as skipped; a check with no point left
+    is SKIP, otherwise it passes when the max |residual| is below ``tolerance``.
+    """
     residuals = np.atleast_1d(np.asarray(residuals, dtype=float))
     n = residuals.size
     if used_mask is None:
@@ -190,13 +205,6 @@ def _make_check(
 
 
 # -- finite differences -------------------------------------------------------
-
-
-def _as_1d(x, y) -> tuple[np.ndarray, np.ndarray, bool]:
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    ys = np.atleast_1d(np.asarray(y, dtype=float))
-    scalar = np.isscalar(x) or np.shape(x) == ()
-    return xs, ys, scalar
 
 
 def partial_derivative(spec: ImmersionSpec, f, xs, ys, axis: int) -> np.ndarray:
@@ -234,113 +242,24 @@ def partial_derivative(spec: ImmersionSpec, f, xs, ys, axis: int) -> np.ndarray:
     return (16.0 * d_h2 - d_h) / 15.0
 
 
-# -- the JH field -------------------------------------------------------------
-
-
-def field_JH(spec: ImmersionSpec, x, y):
-    """Chart components (a^1, a^2) of the tangent field J H.
-
-    a^i = g^{ij} real_inner(JH, F_j); the ambient JH must be reconstructed by
-    a^i F_i to 1e-10 (it is tangent exactly when the immersion is Legendrian
-    and H is orthogonal to the Reeb direction) — ERR_NOT_TANGENT otherwise.
-    """
-    xs, ys, scalar = _as_1d(x, y)
-    fr = ChartFrame(spec, xs, ys, degree=2, wrap=False)
-    a = fr.a
-    recon = a[0] * fr.Fx_v + a[1] * fr.Fy_v
-    dev = np.sqrt(np.sum(np.abs(fr.JH - recon) ** 2, axis=0))
-    if np.any(dev > 1e-10):
-        raise NotTangentError(
-            f"J H has a non-tangent component of size {float(np.max(dev)):.3e}"
-        )
-    if scalar:
-        return float(a[0][0]), float(a[1][0])
-    return a[0], a[1]
-
-
-def nabla_JH_pack(spec: ImmersionSpec, x, y):
-    """(nabla JH, |nabla JH|^2) from the jet chain (no finite differences).
-
-    Returns (T, s) with T[i, j] = (nabla_i JH)^j.
-    """
-    xs, ys, scalar = _as_1d(x, y)
-    fr = ChartFrame(spec, xs, ys, degree=4, wrap=False)
-    T, s = fr.nabla_a, fr.norm_nabla_JH_sq
-    if scalar:
-        return T[..., 0], float(s[0])
-    return T, s
-
-
-# -- Willmore machinery -------------------------------------------------------
-
-
-def willmore_operator(spec: ImmersionSpec, x, y):
-    """The Willmore-Legendrian operator W (ambient vector, shape (3, n)).
-
-    W is half of -J grad Div(JH) + B(JH,JH) - |H|^2 H / 2 - 2 Div(JH) R;
-    <W, R> = -Div(JH).
-    """
-    xs, ys, scalar = _as_1d(x, y)
-    W = ChartFrame(spec, xs, ys, degree=4, wrap=False).willmore
-    return W[:, 0] if scalar else W
-
-
-def _willmore_legendrian(fr: ChartFrame) -> np.ndarray:
-    """Euclidean norm of the Willmore-Legendrian bracket 2 W."""
-    return 2.0 * np.sqrt(np.sum(np.abs(fr.willmore) ** 2, axis=0))
-
-
-def residual_willmore_legendrian(spec: ImmersionSpec, x, y):
-    """Euclidean norm of the Willmore-Legendrian equation's left side."""
-    xs, ys, scalar = _as_1d(x, y)
-    res = _willmore_legendrian(ChartFrame(spec, xs, ys, degree=4, wrap=False))
-    return float(res[0]) if scalar else res
-
-
-def _csl_willmore(fr: ChartFrame) -> np.ndarray:
-    return np.abs(
-        fr.laplace_div_JH
-        + 2.0 * fr.obstruction_density
-        - 0.5 * fr.norm_H_sq * fr.div_JH
-        - 4.0 * fr.div_JH
-    )
-
-
-def residual_csl_willmore(spec: ImmersionSpec, x, y):
-    """|Delta Div(JH) + 2 trace<B(., nabla . JH), H> - |H|^2 Div/2 - 4 Div|."""
-    xs, ys, scalar = _as_1d(x, y)
-    res = _csl_willmore(ChartFrame(spec, xs, ys, degree=5, wrap=False))
-    return float(res[0]) if scalar else res
-
-
-def obstruction_trace(spec: ImmersionSpec, x, y):
-    """trace<B(., nabla . JH), H> = g^{ij} (nabla_j JH)^k <B_ik, H> (jet-exact)."""
-    xs, ys, scalar = _as_1d(x, y)
-    fr = ChartFrame(spec, xs, ys, degree=4, wrap=False)
-    out = fr.obstruction_density
-    return float(out[0]) if scalar else out
-
-
 # -- intrinsic curvature via finite differences -------------------------------
 
 
-def brioschi_curvature_fd(spec: ImmersionSpec, x, y):
+def brioschi_curvature_fd(spec: ImmersionSpec, xs, ys) -> np.ndarray:
     """Brioschi curvature with metric second derivatives by finite differences.
 
     The metric's *first* derivatives are jet-exact; one outer stencil supplies
     the second derivatives, making this route independent of the embedding
-    data used by the Gauss-equation curvature.
+    data used by the Gauss-equation curvature.  ``xs``, ``ys`` are 1-D arrays.
     """
-    xs, ys, scalar = _as_1d(x, y)
 
     def metric_d1(px, py):
-        return ChartFrame(spec, px, py, degree=2, wrap=False).dg  # [l, i, j] = d_l g_ij
+        return ChartFrame(spec, px, py, degree=2).dg  # [l, i, j] = d_l g_ij
 
     ddg_x = partial_derivative(spec, metric_d1, xs, ys, 0)  # d_x d_l g_ij
     ddg_y = partial_derivative(spec, metric_d1, xs, ys, 1)
-    fr = ChartFrame(spec, xs, ys, degree=2, wrap=False)
-    out = brioschi(fr.g, fr.dg, ddg_y[1, 0, 0], ddg_x[1, 0, 1], ddg_x[0, 1, 1])
-    return float(out[0]) if scalar else out
+    fr = ChartFrame(spec, xs, ys, degree=2)
+    return brioschi(fr.g, fr.dg, ddg_y[1, 0, 0], ddg_x[1, 0, 1], ddg_x[0, 1, 1])
 
 
 # -- the identity suite -------------------------------------------------------
@@ -408,11 +327,11 @@ def identity_suite(
     xs, ys = (np.asarray(a, dtype=float) for a in points)
     n = xs.size
     tol = {k: v * tolerance_scale for k, v in IDENTITY_TOLERANCES.items()}
-    fr = ChartFrame(spec, xs, ys, degree=5, wrap=False)
+    fr = ChartFrame(spec, xs, ys, degree=5)
     checks: list[CheckResult] = []
 
     checks.append(
-        _make_check("legendrian_defect", legendrian_defect(fr.F), tol["legendrian_defect"])
+        make_check("legendrian_defect", legendrian_defect(fr.F), tol["legendrian_defect"])
     )
 
     # Cubic form symmetry (orthonormal components).
@@ -421,33 +340,26 @@ def identity_suite(
     for perm in permutations(range(3)):
         tri = np.maximum(tri, np.max(np.abs(sig - np.transpose(
             sig, perm + (3,) if sig.ndim == 4 else perm)), axis=(0, 1, 2)))
-    checks.append(_make_check("tri_symmetry", tri, tol["tri_symmetry"]))
+    checks.append(make_check("tri_symmetry", tri, tol["tri_symmetry"]))
 
     # H orthogonal to Reeb; vanishing Reeb shape operator.
     R = ambient.reeb(fr.F_v)
     h_dot_R = np.abs(ambient.real_inner(fr.H, R))
-    A_R = np.abs(
-        np.array(
-            [
-                [ambient.real_inner(fr.B[i, j], R) for j in range(2)]
-                for i in range(2)
-            ]
-        )
-    ).max(axis=(0, 1))
-    checks.append(_make_check("reeb_normal", np.maximum(h_dot_R, A_R), tol["reeb_normal"]))
+    A_R = np.abs(fr.form(R)).max(axis=(0, 1))
+    checks.append(make_check("reeb_normal", np.maximum(h_dot_R, A_R), tol["reeb_normal"]))
 
     # Claim: 2 kappa = 2 + |H|^2 - |B|^2.
     claim = np.abs(2.0 * fr.kappa - 2.0 - fr.norm_H_sq + fr.norm_B_sq)
-    checks.append(_make_check("gauss_claim", claim, tol["gauss_claim"]))
+    checks.append(make_check("gauss_claim", claim, tol["gauss_claim"]))
 
     # Intrinsic (Brioschi) vs extrinsic (Gauss equation) curvature.
     checks.append(
-        _make_check(
+        make_check(
             "gauss_vs_brioschi", np.abs(fr.kappa_brioschi - fr.kappa), tol["gauss_vs_brioschi"]
         )
     )
     checks.append(
-        _make_check(
+        make_check(
             "gauss_vs_brioschi_fd",
             np.abs(brioschi_curvature_fd(spec, xs, ys) - fr.kappa),
             tol["gauss_vs_brioschi_fd"],
@@ -457,13 +369,13 @@ def identity_suite(
     # Ricci identity for the closed one-form dual to JH.
     ricci = fr.laplace_JH - fr.grad_div_JH - fr.kappa * fr.a
     ricci_norm = np.sqrt(np.einsum("ij...,i...,j...->...", fr.g, ricci, ricci))
-    checks.append(_make_check("ricci_identity", ricci_norm, tol["ricci_identity"]))
+    checks.append(make_check("ricci_identity", ricci_norm, tol["ricci_identity"]))
 
     # Normal-bundle Laplacian identity.
     lap_JH_amb = fr.laplace_JH[0] * fr.Fx_v + fr.laplace_JH[1] * fr.Fy_v
     nl = fr.normal_laplacian_H + ambient.apply_J(lap_JH_amb) + fr.H + 2.0 * fr.div_JH * R
     checks.append(
-        _make_check(
+        make_check(
             "normal_laplacian",
             np.sqrt(np.sum(np.abs(nl) ** 2, axis=0)),
             tol["normal_laplacian"],
@@ -475,7 +387,7 @@ def identity_suite(
     div_jb_res = np.abs(
         fr.div_JB_JH_JH - 2.0 * fr.obstruction_density - 0.5 * grad_h2_along_JH
     )
-    checks.append(_make_check("div_jb_identity", div_jb_res, tol["div_jb_identity"]))
+    checks.append(make_check("div_jb_identity", div_jb_res, tol["div_jb_identity"]))
 
     # csL gate for the csL-only identities.
     is_csl = bool(np.max(np.abs(fr.div_JH)) < CSL_GATE)
@@ -485,7 +397,7 @@ def identity_suite(
     bochner = np.abs(
         0.5 * fr.laplace_norm_H_sq - fr.norm_nabla_JH_sq - fr.kappa * fr.norm_H_sq
     )
-    checks.append(_make_check("bochner", bochner, tol["bochner"], used_mask=csl_mask))
+    checks.append(make_check("bochner", bochner, tol["bochner"], used_mask=csl_mask))
 
     # Delta log|H| = kappa away from zeros of H (csL members).
     big_h = np.sqrt(fr.norm_H_sq) >= SMALL_H
@@ -495,7 +407,7 @@ def identity_suite(
     else:
         log_res = np.zeros(n)
     checks.append(
-        _make_check("log_h_curvature", log_res, tol["log_h_curvature"], used_mask=log_mask)
+        make_check("log_h_curvature", log_res, tol["log_h_curvature"], used_mask=log_mask)
     )
 
     # Four-symmetry of the covariant derivative of sigma (chart components).
@@ -513,12 +425,12 @@ def identity_suite(
             continue
         moved = np.transpose(nabla_sigma, perm + (4,) if nabla_sigma.ndim == 5 else perm)
         four = np.maximum(four, np.max(np.abs(nabla_sigma - moved), axis=(0, 1, 2, 3)))
-    checks.append(_make_check("four_symmetry", four, tol["four_symmetry"]))
+    checks.append(make_check("four_symmetry", four, tol["four_symmetry"]))
 
     # Closedness of the one-form dual to JH.
     d_omega = fr.d_omega
     checks.append(
-        _make_check("closedness", np.abs(d_omega[0, 1] - d_omega[1, 0]), tol["closedness"])
+        make_check("closedness", np.abs(d_omega[0, 1] - d_omega[1, 0]), tol["closedness"])
     )
 
     # Sasakian identities of the ambient sphere at the surface points.
@@ -526,8 +438,8 @@ def identity_suite(
     R_s = ambient.reeb(fr.F_v, reeb_sign)
     Y0 = fr.e2 + 0.5 * R_s + 0.25 * fr.e1
     res1, res2 = _sasakian_residuals(fr.F_v, X, Y0, reeb_sign)
-    checks.append(_make_check("sasakian_reeb", res1, tol["sasakian_reeb"]))
-    checks.append(_make_check("sasakian_J", res2, tol["sasakian_J"]))
+    checks.append(make_check("sasakian_reeb", res1, tol["sasakian_reeb"]))
+    checks.append(make_check("sasakian_J", res2, tol["sasakian_J"]))
 
     return ResidualReport(
         surface=spec.label,
@@ -540,14 +452,15 @@ def identity_suite(
 
 
 def willmore_energy(spec: ImmersionSpec, grid: tuple[int, int] = (64, 64)):
-    """(area, energy) per chart rectangle by tensor-product trapezoid rule.
+    """(area, energy) per chart rectangle by a tensor-product quadrature rule.
 
     area = integral of sqrt(det g); energy = integral of (|H|^2/4 + 1)
     sqrt(det g) — the ambient sectional curvature term is identically 1 on
     the unit sphere.  Periodic axes use the uniform-node form of the
-    trapezoid rule (no duplicated endpoint), which is spectrally accurate
-    for smooth periodic integrands; non-periodic axes use the closed rule.
-    Summation via math.fsum in a fixed order, so results are bit-stable.
+    trapezoid rule (no duplicated endpoint) and non-periodic axes
+    Gauss-Legendre nodes, both spectrally accurate for smooth integrands,
+    with ``grid`` nodes per axis.  Summation via math.fsum in a fixed order,
+    so results are bit-stable.
     """
     nx, ny = grid
     if nx < 4 or ny < 4:
@@ -555,20 +468,16 @@ def willmore_energy(spec: ImmersionSpec, grid: tuple[int, int] = (64, 64)):
 
     def axis_nodes(axis, m):
         lo, hi = spec.chart_domain[axis]
-        step = (hi - lo) / m
         if spec.periodic[axis]:
-            nodes = lo + step * np.arange(m)
-            weights = np.full(m, step)
-        else:
-            nodes = np.linspace(lo, hi, m + 1)
-            weights = np.full(m + 1, step)
-            weights[0] = weights[-1] = 0.5 * step
-        return nodes, weights
+            step = (hi - lo) / m
+            return lo + step * np.arange(m), np.full(m, step)
+        t, w = np.polynomial.legendre.leggauss(m)
+        return lo + 0.5 * (hi - lo) * (t + 1.0), 0.5 * (hi - lo) * w
 
     xn, xw = axis_nodes(0, nx)
     yn, yw = axis_nodes(1, ny)
     gx, gy = np.meshgrid(xn, yn, indexing="ij")
-    fr = ChartFrame(spec, gx.ravel(), gy.ravel(), degree=2, wrap=False)
+    fr = ChartFrame(spec, gx.ravel(), gy.ravel(), degree=2)
     sd = np.sqrt(fr.det_g)
     w2 = np.outer(xw, yw).ravel()
     area = math.fsum((w2 * sd).tolist())
@@ -581,12 +490,12 @@ def willmore_energy(spec: ImmersionSpec, grid: tuple[int, int] = (64, 64)):
 
 def _grid_residuals(spec: ImmersionSpec, xs, ys) -> dict[str, np.ndarray]:
     """Per-point residual magnitudes used by the verify command."""
-    fr = ChartFrame(spec, xs, ys, degree=5, wrap=False)
+    fr = ChartFrame(spec, xs, ys, degree=5)
     return {
         "legendrian_defect": legendrian_defect(fr.F),
         "csl_residual": np.abs(fr.div_JH),
-        "willmore_legendrian_residual": _willmore_legendrian(fr),
-        "csl_willmore_residual": _csl_willmore(fr),
+        "willmore_legendrian_residual": fr.willmore_legendrian_residual,
+        "csl_willmore_residual": fr.csl_willmore_residual,
         "csl_willmore_direct": np.abs(fr.div_JW_minus_2JH),
         "obstruction_trace": np.abs(fr.obstruction_density),
         "norm_H": np.sqrt(fr.norm_H_sq),
@@ -645,20 +554,20 @@ def run_verification(
     maps = grid_residuals(spec, nx, ny, workers=workers)
     tol = {k: v * tolerance_scale for k, v in VERIFY_TOLERANCES.items()}
     checks = [
-        _make_check("legendrian_defect", maps["legendrian_defect"], tol["legendrian_defect"]),
-        _make_check("csl_residual", maps["csl_residual"], tol["csl_residual"]),
-        _make_check(
+        make_check("legendrian_defect", maps["legendrian_defect"], tol["legendrian_defect"]),
+        make_check("csl_residual", maps["csl_residual"], tol["csl_residual"]),
+        make_check(
             "csl_willmore_residual", maps["csl_willmore_residual"], tol["csl_willmore_residual"]
         ),
-        _make_check(
+        make_check(
             "csl_willmore_agreement",
             np.abs(maps["csl_willmore_residual"] - 2.0 * maps["csl_willmore_direct"]),
             tol["csl_willmore_agreement"],
         ),
-        _make_check("obstruction_trace", maps["obstruction_trace"], tol["obstruction_trace"]),
+        make_check("obstruction_trace", maps["obstruction_trace"], tol["obstruction_trace"]),
         # Consistency with the classification theorem: wherever the
         # Willmore-Legendrian residual is tiny, |H| must be tiny too.
-        _make_check(
+        make_check(
             "willmore_implies_minimal",
             np.where(
                 maps["willmore_legendrian_residual"] < 1e-6, maps["norm_H"], 0.0

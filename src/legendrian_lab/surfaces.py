@@ -49,6 +49,7 @@ import numpy as np
 
 from . import exprlang, jets
 from .errors import (
+    DivideByZeroJetError,
     DomainError,
     NotOnSphereError,
     ParamConstraintError,
@@ -253,7 +254,8 @@ def evaluate_jet_batch(spec: ImmersionSpec, xs, ys, degree: int, wrap: bool = Tr
     ``xs``/``ys`` are arrays of equal shape (wrap is applied here); returns a
     tuple of three jets whose coefficient arrays share that batch shape.
     Raises ERR_NOT_ON_SPHERE if any evaluated value leaves the unit sphere by
-    more than 1e-10.
+    more than 1e-10, and ERR_DIVIDE_BY_ZERO_JET naming the chart point of the
+    smallest divisor if a component formula divides by zero.
 
     ``wrap=False`` evaluates on the universal cover: no wrap, no domain
     check.  Finite-difference stencils need this, because the component
@@ -266,16 +268,25 @@ def evaluate_jet_batch(spec: ImmersionSpec, xs, ys, degree: int, wrap: bool = Tr
     if wrap:
         xs, ys = wrap_point(spec, xs, ys)
     X, Y = jets.lift_point(xs, ys, degree)
-    if spec.kind == "calabi":
-        F = _calabi_jets(spec.params, X, Y)
-    elif spec.kind == "mironov":
-        F = _mironov_jets(spec.params, X, Y)
-    elif spec.kind == "geodesic_sphere":
-        F = _sphere_jets(X, Y)
-    elif spec.kind == "expression":
-        F = _expression_jets(spec, X, Y)
-    else:
-        raise UnsupportedSurfaceError(f"unknown surface family {spec.kind!r}")
+    try:
+        if spec.kind == "calabi":
+            F = _calabi_jets(spec.params, X, Y)
+        elif spec.kind == "mironov":
+            F = _mironov_jets(spec.params, X, Y)
+        elif spec.kind == "geodesic_sphere":
+            F = _sphere_jets(X, Y)
+        elif spec.kind == "expression":
+            F = _expression_jets(spec, X, Y)
+        else:
+            raise UnsupportedSurfaceError(f"unknown surface family {spec.kind!r}")
+    except DivideByZeroJetError as exc:
+        mag, px, py = (np.ravel(a) for a in np.broadcast_arrays(exc.magnitude, xs, ys))
+        worst = int(np.argmin(mag))
+        raise DivideByZeroJetError(
+            f"divisor constant term has magnitude {mag[worst]:.3e} <= {jets.DIVIDE_TOL:g} "
+            f"at chart point (x, y) = ({px[worst]:.17g}, {py[worst]:.17g}) on {spec.label}",
+            exc.magnitude,
+        ) from None
     norm_sq = sum(np.abs(f.value) ** 2 for f in F)
     dev = np.abs(np.sqrt(norm_sq) - 1.0)
     dev, px, py = (np.ravel(a) for a in np.broadcast_arrays(dev, xs, ys))

@@ -303,6 +303,19 @@ def test_energy_reports_frozen_calabi_values(capsys):
     assert payload["checks"][0]["status"] == "PASS"
 
 
+def test_energy_is_spectrally_accurate_on_a_non_periodic_chart(capsys):
+    # Gauss-Legendre nodes on the non-periodic axis: the chart covers the
+    # band |u| <= 1.2 of the unit sphere, of area 4 pi sin 1.2.
+    rc, payload = _run_json(
+        capsys, ["energy", "--surface", "geodesic_sphere", "--format", "json"]
+    )
+    assert rc == 0
+    q = payload["quantities"]
+    assert q["area"] == pytest.approx(4.0 * math.pi * math.sin(1.2), abs=1e-12)
+    assert q["area_refined"] == pytest.approx(4.0 * math.pi * math.sin(1.2), abs=1e-12)
+    assert payload["checks"][0]["status"] == "PASS"
+
+
 def test_config_file_supplies_surface_and_run_options(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

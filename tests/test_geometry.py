@@ -1,5 +1,6 @@
 """Pointwise calculus: metric, frames, second fundamental form, curvature."""
 
+import dataclasses
 import itertools
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from legendrian_lab import ambient, geometry, surfaces
-from legendrian_lab.errors import DegenerateMetricError, OrderError
+from legendrian_lab.errors import DegenerateMetricError, DomainError, OrderError
 
 TWO_PI = 2.0 * math.pi
 DOM = ((0.0, TWO_PI), (0.0, TWO_PI))
@@ -162,6 +163,23 @@ def test_curvature_claim_links_kappa_H_and_B(members):
 def test_point_report_invariants_hold_on_catalog_members():
     _assert_point_invariants(geometry.point_report(CALABI, 0.0, 0.0))
     _assert_point_invariants(geometry.point_report(MIRONOV, math.pi / 4.0, 1.0))
+
+
+def test_point_report_wraps_periodic_coordinates():
+    # The flat-torus family is equivariant, not periodic, under a chart
+    # period, so these agree only because point_report wraps x + 2 pi first.
+    a = geometry.point_report(CALABI, 0.3, 0.7)
+    b = geometry.point_report(CALABI, 0.3 + TWO_PI, 0.7)
+    for f in dataclasses.fields(a):
+        expected = getattr(a, f.name) + (TWO_PI if f.name == "x" else 0.0)
+        assert np.allclose(getattr(b, f.name), expected, rtol=0.0, atol=1e-12), f.name
+
+
+def test_point_report_rejects_points_outside_a_non_periodic_chart():
+    sphere = surfaces.geodesic_sphere()
+    for x in (-1.3, 1.2 + 1e-9):
+        with pytest.raises(DomainError):
+            geometry.point_report(sphere, x, 0.5)
 
 
 def test_point_report_rejects_degenerate_expression_surfaces():

@@ -39,7 +39,7 @@ CONTROL = surfaces.from_expression(
 
 
 def _frame(spec, xs, ys, degree=2):
-    return geometry.ChartFrame(spec, xs, ys, degree=degree, wrap=False)
+    return geometry.ChartFrame(spec, xs, ys, degree=degree)
 
 
 def _fd_partials(spec, field, xs, ys):
@@ -90,19 +90,27 @@ def _fd_normal_laplacian_H(spec, xs, ys):
     return out
 
 
+def _jh_at(spec, x, y):
+    """Chart components (a^1, a^2) of JH at one point; JH must be a^i F_i to 1e-10."""
+    fr = _frame(spec, [x], [y])
+    a = fr.a
+    assert np.max(np.abs(fr.JH - (a[0] * fr.Fx_v + a[1] * fr.Fy_v))) < 1e-10
+    return a[0, 0], a[1, 0]
+
+
 def test_field_JH_matches_the_closed_mean_curvature():
-    a1, a2 = operators.field_JH(CALABI, 0.3, 0.7)
+    a1, a2 = _jh_at(CALABI, 0.3, 0.7)
     # JH = -mu1 e1 - mu2 e2 with e1 = F_x and e2 = F_y / r1.
     assert a1 == pytest.approx(-1.0 / 6.0, abs=1e-9)
     assert a2 == pytest.approx(-(35.0 / 48.0) / 0.8, abs=1e-9)
 
-    a1, a2 = operators.field_JH(MIRONOV, 0.4, 0.9)
+    a1, a2 = _jh_at(MIRONOV, 0.4, 0.9)
     u = geometry.point_report(MIRONOV, 0.4, 0.9).g[1, 1]
     assert abs(a1) < 1e-10
     assert a2 * u == pytest.approx(-2.0, abs=1e-9)  # -(a + b - c)/u
 
     minimal = surfaces.mironov(1, 2, 3)
-    a1, a2 = operators.field_JH(minimal, 0.4, 0.9)
+    a1, a2 = _jh_at(minimal, 0.4, 0.9)
     assert abs(a1) < 1e-10 and abs(a2) < 1e-10
 
 
@@ -123,7 +131,7 @@ def test_log_mean_curvature_laplacian_reproduces_the_curvature():
 
 
 def test_covariant_derivative_of_parallel_fields_vanishes():
-    nabla, _ = operators.nabla_JH_pack(CALABI, 0.3, 0.7)
+    nabla = _frame(CALABI, [0.3], [0.7], degree=4).nabla_a
     assert np.max(np.abs(nabla)) < 1e-8
     # The coordinate field d_x is parallel too: nabla_i d_x = Gamma^j_{i0} d_j.
     gamma = geometry.ChartFrame(CALABI, [0.3], [0.7], degree=2).gamma
@@ -137,31 +145,31 @@ def test_covariant_derivative_agrees_with_the_jet_exact_route():
     fr = _frame(MIRONOV, xs, ys)
     da = _fd_partials(MIRONOV, _jh_components(MIRONOV), xs, ys)
     fd = (da + np.einsum("jik...,k...->ij...", fr.gamma, fr.a))[..., 0]
-    exact, norm_sq = operators.nabla_JH_pack(MIRONOV, 0.4, 0.9)
-    assert np.max(np.abs(fd - exact)) < 1e-8
-    assert norm_sq >= 0.0
-    _, calabi_norm_sq = operators.nabla_JH_pack(CALABI, 0.3, 0.7)
+    exact = _frame(MIRONOV, xs, ys, degree=4)
+    assert np.max(np.abs(fd - exact.nabla_a[..., 0])) < 1e-8
+    assert exact.norm_nabla_JH_sq[0] >= 0.0
+    calabi_norm_sq = _frame(CALABI, [0.3], [0.7], degree=4).norm_nabla_JH_sq[0]
     assert abs(calabi_norm_sq) < 1e-16
 
 
 def test_willmore_operator_values():
-    W = operators.willmore_operator(CALABI, 0.3, 0.7)
+    W = _frame(CALABI, [0.3], [0.7], degree=4).willmore[:, 0]
     norm_W = math.sqrt(ambient.real_inner(W, W))
     assert norm_W == pytest.approx(0.5 * CALABI_WL_RESIDUAL, rel=1e-9)
     assert norm_W > 0.05
 
     # <W, R> = -Div(JH), the Reeb component of the variational vector.
     pf = geometry.point_report(MIRONOV, 0.4, 0.9)
-    W = operators.willmore_operator(MIRONOV, 0.4, 0.9)
     xs, ys = np.array([0.4]), np.array([0.9])
+    W = _frame(MIRONOV, xs, ys, degree=4).willmore[:, 0]
     div = _fd_divergence(MIRONOV, _jh_components(MIRONOV), xs, ys)[0]
     assert abs(ambient.real_inner(W, pf.R) + div) < 1e-6
 
 
 def test_willmore_legendrian_residual_frozen_values(residual_maps):
-    value = operators.residual_willmore_legendrian(CALABI, 0.3, 0.7)
+    value = _frame(CALABI, [0.3], [0.7], degree=4).willmore_legendrian_residual[0]
     assert value == pytest.approx(CALABI_WL_RESIDUAL, rel=1e-9)
-    value = operators.residual_willmore_legendrian(MIRONOV, 0.4, 0.9)
+    value = _frame(MIRONOV, [0.4], [0.9], degree=4).willmore_legendrian_residual[0]
     assert value == pytest.approx(MIRONOV_WL_RESIDUAL_AT_04_09, rel=1e-9)
     for name in ("geodesic_sphere", "calabi_minimal", "mironov_123"):
         assert np.max(residual_maps[name]["willmore_legendrian_residual"]) < 1e-8
@@ -241,8 +249,8 @@ def test_residual_norms_are_chart_invariant():
         periodic=(True, True),
     )
     for x, y in [(0.3, 0.7), (4.0, 1.9)]:
-        direct = operators.residual_willmore_legendrian(CALABI, x, y)
-        flipped = operators.residual_willmore_legendrian(swapped, y, x)
+        direct = _frame(CALABI, [x], [y], degree=4).willmore_legendrian_residual[0]
+        flipped = _frame(swapped, [y], [x], degree=4).willmore_legendrian_residual[0]
         assert direct == pytest.approx(flipped, abs=1e-10)
 
 
@@ -306,7 +314,7 @@ def test_fourth_order_jets_match_nested_finite_differences(name):
     # they replaced, at 10 seeded points; the control's values are about 1e3.
     spec = CONTROL if name == "control" else build_members()[name]
     xs, ys = surfaces.sample_points(spec, 10, seed=3)
-    fr = geometry.ChartFrame(spec, xs, ys, degree=5, wrap=False)
+    fr = geometry.ChartFrame(spec, xs, ys, degree=5)
 
     def grad_div(px, py):
         return _frame(spec, px, py, degree=4).grad_div_JH

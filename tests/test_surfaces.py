@@ -7,6 +7,7 @@ import pytest
 
 from legendrian_lab import ambient, geometry, jets, surfaces
 from legendrian_lab.errors import (
+    DivideByZeroJetError,
     DomainError,
     NotOnSphereError,
     ParamConstraintError,
@@ -110,6 +111,16 @@ def test_expression_surfaces_are_gated_at_evaluation_time():
     # A constant point on the sphere is fine to evaluate but has no metric.
     degenerate = surfaces.from_expression(("1", "0", "0"), {}, DOM)
     surfaces.evaluate_jet(degenerate, 0.5, 0.5, 2)
+
+
+def test_division_by_zero_names_the_chart_point():
+    # The 5x5 half-offset grid puts a column of nodes on x = 1 exactly; the
+    # error names the first of them, as verify --grid 5x5 prints it.
+    pole = surfaces.from_expression(
+        ("(x-1)/(x-1)", "0*x", "0*y"), {}, ((0.5, 1.5), (0.0, 1.0)), periodic=(False, False)
+    )
+    with pytest.raises(DivideByZeroJetError, match=r"at chart point \(x, y\) = \(1, 0\.1\d*\)"):
+        surfaces.evaluate_jet_batch(pole, *surfaces.grid_points(pole, 5, 5), 2)
 
 
 def test_periodic_wrap_is_bitwise_exact():
