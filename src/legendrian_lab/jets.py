@@ -27,6 +27,27 @@ factor multiplies a degree-3 derivative.
 here because both jet variables are *real* chart coordinates (conj commutes
 with d/dx for real x); these helpers are what make real inner products of
 complex jets exact.
+
+Real jets stay real.  The coefficients are float64 when the input is real
+and complex128 when it is complex: ``Jet2``, ``constant`` and ``lift_point``
+follow the dtype of what they are given, ``real_part``/``imag_part`` return
+float jets, ``conjugate`` of a real jet is the jet itself, and an operation
+with a complex operand promotes the result to complex rather than casting
+the imaginary part away.  The metric, Christoffel and curvature chains are
+real, and real arithmetic does half the work of complex arithmetic or less.
+
+The product kernel accumulates each output coefficient in place, row by row:
+c_o = a_0 b_o + sum of a_i b_j over the other pairs with e_i + e_j = e_o, in
+ascending i.  Its operands are row views of the coefficient arrays, so it
+gathers nothing and its only temporary is one row; the order of the sum is
+fixed, so a point's coefficients do not depend on the batch it sits in.
+
+Analytic functions sum their Taylor series sum_n f_n (a - a0)^n, with
+f_n = f^(n)(a0)/n!.  When ``a`` is affine (no coefficient of degree >= 2),
+(a - a0) = p x + q y and the series has the closed form
+c_jk = f_{j+k} C(j+k, j) p^j q^k, which needs no jet product; other
+arguments take Horner's rule over jet products.  The Taylor rules follow
+Griewank and Walther, *Evaluating Derivatives* (2nd ed., SIAM 2008), ch. 13.
 """
 
 from __future__ import annotations
@@ -56,26 +77,28 @@ def _exponents(degree: int) -> list[tuple[int, int]]:
     return [(m - k, k) for m in range(degree + 1) for k in range(m + 1)]
 
 
-def _build_mul_table(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index triples for truncated multiplication, grouped for add.reduceat.
+def _build_mul_terms(degree: int) -> list[list[tuple[int, int]]]:
+    """The terms of the truncated product, per output coefficient.
 
-    Returns (ia, ib, starts): prod = a[ia] * b[ib] summed within groups whose
-    first elements sit at ``starts`` gives the product coefficients in order.
+    ``terms[o]`` lists the index pairs (i, j) with e_i + e_j = e_o in
+    ascending i; its first pair is (0, o).
     """
     exps = _exponents(degree)
-    triples = []
+    terms = [[] for _ in exps]
     for i1, (j1, k1) in enumerate(exps):
         for i2, (j2, k2) in enumerate(exps):
             if j1 + k1 + j2 + k2 <= degree:
-                triples.append((_index(j1 + j2, k1 + k2), i1, i2))
-    triples.sort()
-    out = np.array([t[0] for t in triples])
-    ia = np.array([t[1] for t in triples])
-    ib = np.array([t[2] for t in triples])
-    # Every output index occurs (the pair with the constant term always
-    # contributes), so group starts are just the first occurrence of each.
-    starts = np.searchsorted(out, np.arange(_ncoef(degree)))
-    return ia, ib, starts
+                terms[_index(j1 + j2, k1 + k2)].append((i1, i2))
+    return terms
+
+
+def _build_affine_table(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per coefficient (j, k): the exponents j, k, the order n = j + k and C(n, j)."""
+    exps = _exponents(degree)
+    j = np.array([e[0] for e in exps])
+    k = np.array([e[1] for e in exps])
+    binom = np.array([float(math.comb(a + b, a)) for a, b in exps])
+    return j, k, j + k, binom
 
 
 def _build_diff_table(degree: int, axis: int) -> tuple[np.ndarray, np.ndarray]:
@@ -92,7 +115,8 @@ def _build_diff_table(degree: int, axis: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(src), np.array(fac, dtype=float)
 
 
-_MUL_TABLES = {d: _build_mul_table(d) for d in range(MAX_DEGREE + 1)}
+_MUL_TERMS = {d: _build_mul_terms(d) for d in range(MAX_DEGREE + 1)}
+_AFFINE_TABLES = {d: _build_affine_table(d) for d in range(MAX_DEGREE + 1)}
 _DX_TABLES = {d: _build_diff_table(d, 0) for d in range(1, MAX_DEGREE + 1)}
 _DY_TABLES = {d: _build_diff_table(d, 1) for d in range(1, MAX_DEGREE + 1)}
 
@@ -100,6 +124,45 @@ _DY_TABLES = {d: _build_diff_table(d, 1) for d in range(1, MAX_DEGREE + 1)}
 def _check_degree(degree: int) -> None:
     if not isinstance(degree, (int, np.integer)) or not 0 <= degree <= MAX_DEGREE:
         raise DegreeError(f"jet degree must be an integer in [0, {MAX_DEGREE}], got {degree!r}")
+
+
+def _dtype(values) -> type:
+    """complex for complex input, float otherwise: real jets stay real."""
+    return complex if np.iscomplexobj(values) else float
+
+
+def _product(a: np.ndarray, b: np.ndarray, degree: int) -> np.ndarray:
+    """Coefficients of the truncated product of two degree-``degree`` jets.
+
+    Each output row is accumulated in place, one term a_i b_j at a time in
+    the order of ``_MUL_TERMS``; every operand is a row view, so nothing is
+    gathered and the temporaries are one row high.
+    """
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+    term = np.empty(out.shape[1:], out.dtype)
+    a_rows, b_rows = list(a), list(b)
+    for o, ((i, j), *rest) in enumerate(_MUL_TERMS[degree]):
+        row = out[o, ...]  # a view, also when there are no batch axes
+        np.multiply(a_rows[i], b_rows[j], out=row)
+        for i, j in rest:
+            np.multiply(a_rows[i], b_rows[j], out=term)
+            row += term
+    return out
+
+
+def _affine_series(a: np.ndarray, taylor_coeffs: list, degree: int) -> np.ndarray:
+    """Coefficients of sum_n f_n (p x + q y)^n for the affine jet coefficients ``a``."""
+    f = np.stack(np.broadcast_arrays(*taylor_coeffs))
+    if degree == 0:
+        return f
+    j, k, n, binom = _AFFINE_TABLES[degree]
+    p, q = a[1], a[2]
+    p_pow, q_pow = [np.ones_like(p)], [np.ones_like(q)]
+    for _ in range(degree):
+        p_pow.append(p_pow[-1] * p)
+        q_pow.append(q_pow[-1] * q)
+    binom = binom.reshape((-1,) + (1,) * (a.ndim - 1))
+    return f[n] * binom * (np.stack(p_pow)[j] * np.stack(q_pow)[k])
 
 
 class Jet2:
@@ -113,7 +176,7 @@ class Jet2:
 
     def __init__(self, degree: int, coeffs: np.ndarray):
         _check_degree(degree)
-        coeffs = np.asarray(coeffs, dtype=complex)
+        coeffs = np.asarray(coeffs, dtype=_dtype(coeffs))
         if coeffs.shape[0] != _ncoef(degree):
             raise DegreeError(
                 f"coefficient array has leading size {coeffs.shape[0]}, "
@@ -143,19 +206,13 @@ class Jet2:
 
     # -- ring operations -------------------------------------------------
 
-    @staticmethod
-    def _coerce(other, degree: int, batch_shape: tuple[int, ...]):
-        if isinstance(other, Jet2):
-            return other
-        return constant(other, degree, batch_shape)
-
     def _binary_pair(self, other: "Jet2") -> tuple["Jet2", "Jet2"]:
         d = min(self.degree, other.degree)
         return self.truncate(d), other.truncate(d)
 
     def __add__(self, other):
         if not isinstance(other, Jet2):
-            c = self.coeffs.copy()
+            c = self.coeffs.astype(np.result_type(self.coeffs, other))
             c[0] = c[0] + other
             return Jet2(self.degree, c)
         a, b = self._binary_pair(other)
@@ -179,9 +236,7 @@ class Jet2:
         if not isinstance(other, Jet2):
             return Jet2(self.degree, self.coeffs * other)
         a, b = self._binary_pair(other)
-        ia, ib, starts = _MUL_TABLES[a.degree]
-        prod = a.coeffs[ia] * b.coeffs[ib]
-        return Jet2(a.degree, np.add.reduceat(prod, starts, axis=0))
+        return Jet2(a.degree, _product(a.coeffs, b.coeffs, a.degree))
 
     __rmul__ = __mul__
 
@@ -231,15 +286,19 @@ class Jet2:
 
     def conjugate(self) -> "Jet2":
         """Coefficientwise conjugate (valid: the jet variables are real)."""
+        if not np.iscomplexobj(self.coeffs):
+            return self
         return Jet2(self.degree, np.conj(self.coeffs))
 
     def real_part(self) -> "Jet2":
-        """Jet of Re(f) (valid for real chart variables)."""
-        return Jet2(self.degree, self.coeffs.real + 0j)
+        """Float jet of Re(f) (valid for real chart variables)."""
+        if not np.iscomplexobj(self.coeffs):
+            return self
+        return Jet2(self.degree, self.coeffs.real.copy())
 
     def imag_part(self) -> "Jet2":
-        """Jet of Im(f) (valid for real chart variables)."""
-        return Jet2(self.degree, self.coeffs.imag + 0j)
+        """Float jet of Im(f) (valid for real chart variables)."""
+        return Jet2(self.degree, self.coeffs.imag.copy())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Jet2(degree={self.degree}, batch={self.batch_shape}, value={self.value!r})"
@@ -251,9 +310,9 @@ class Jet2:
 def constant(value, degree: int, batch_shape: tuple[int, ...] = ()) -> Jet2:
     """Jet of a constant function (all derivative coefficients zero)."""
     _check_degree(degree)
-    value = np.asarray(value, dtype=complex)
+    value = np.asarray(value, dtype=_dtype(value))
     shape = np.broadcast_shapes(value.shape, batch_shape)
-    c = np.zeros((_ncoef(degree),) + shape, dtype=complex)
+    c = np.zeros((_ncoef(degree),) + shape, dtype=value.dtype)
     c[0] = value
     return Jet2(degree, c)
 
@@ -262,14 +321,15 @@ def lift_point(x0, y0, degree: int) -> tuple[Jet2, Jet2]:
     """Coordinate jets (x, y) seeded at (x0, y0) with unit first-order terms.
 
     ``x0``/``y0`` may be scalars or same-shape arrays (a batch of expansion
-    points handled in one pass).
+    points handled in one pass).  The jets are float unless a seed is complex.
     """
     _check_degree(degree)
-    x0 = np.asarray(x0, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
+    dtype = np.result_type(_dtype(x0), _dtype(y0))
+    x0 = np.asarray(x0, dtype=dtype)
+    y0 = np.asarray(y0, dtype=dtype)
     shape = np.broadcast_shapes(x0.shape, y0.shape)
-    cx = np.zeros((_ncoef(degree),) + shape, dtype=complex)
-    cy = np.zeros((_ncoef(degree),) + shape, dtype=complex)
+    cx = np.zeros((_ncoef(degree),) + shape, dtype=dtype)
+    cy = np.zeros((_ncoef(degree),) + shape, dtype=dtype)
     cx[0] = x0
     cy[0] = y0
     if degree >= 1:
@@ -282,7 +342,14 @@ def lift_point(x0, y0, degree: int) -> tuple[Jet2, Jet2]:
 
 
 def _compose(a: Jet2, taylor_coeffs: list[np.ndarray]) -> Jet2:
-    """Horner evaluation of sum_n taylor_coeffs[n] * (a - a0)^n."""
+    """sum_n taylor_coeffs[n] * (a - a0)^n, truncated at the degree of ``a``.
+
+    An affine ``a`` (a - a0 = p x + q y) takes the closed form
+    c_jk = f_n C(n, j) p^j q^k with n = j + k; any other ``a`` takes Horner's
+    rule over jet products.
+    """
+    if not np.any(a.coeffs[3:]):
+        return Jet2(a.degree, _affine_series(a.coeffs, taylor_coeffs, a.degree))
     w = Jet2(a.degree, a.coeffs.copy())
     w.coeffs[0] = np.zeros_like(w.coeffs[0])
     result = constant(taylor_coeffs[a.degree], a.degree, a.batch_shape)

@@ -63,6 +63,13 @@ SMALL_H = 1e-3
 #: Grid-max |Div(JH)| below this marks a member as csL for gated checks.
 CSL_GATE = 1e-6
 
+#: Fewest grid points a pool worker is started for: below about 1000 points
+#: starting the pool costs more than it saves.  On a 2-core machine (Python
+#: 3.11, numpy 2.4) a mironov sweep took 0.026 s serial and 0.070 s on 2
+#: workers at 256 points, 0.051 s and 0.052 s at 1024, 0.064 s and 0.054 s at
+#: 1600.
+MIN_POINTS_PER_WORKER = 512
+
 #: Tolerances for the identity suite (scaled by the CLI's tolerance factor).
 IDENTITY_TOLERANCES = {
     "legendrian_defect": 1e-11,
@@ -508,8 +515,9 @@ def _grid_chunk(args):
 
 
 def _pool_size(workers: int, n_points: int) -> int:
-    """Processes actually started: never more than the cores or the points."""
-    return min(workers, os.cpu_count() or 1, n_points)
+    """Processes actually started: never more than the cores, nor more than
+    one per ``MIN_POINTS_PER_WORKER`` points, and at least one."""
+    return max(1, min(workers, os.cpu_count() or 1, n_points // MIN_POINTS_PER_WORKER))
 
 
 def grid_residuals(
@@ -519,7 +527,8 @@ def grid_residuals(
 
     Chunks are split by contiguous index ranges and reassembled in submission
     order, so the result is identical for any worker count.  The pool is
-    clamped to the core count and the number of grid points.
+    clamped to the core count and to ``MIN_POINTS_PER_WORKER`` points per
+    worker.
     """
     if nx < 4 or ny < 4:
         raise GridError(f"verification grid {nx}x{ny} too small (need >= 4 per axis)")
@@ -566,13 +575,13 @@ def run_verification(
         ),
         make_check("obstruction_trace", maps["obstruction_trace"], tol["obstruction_trace"]),
         # Consistency with the classification theorem: wherever the
-        # Willmore-Legendrian residual is tiny, |H| must be tiny too.
+        # Willmore-Legendrian residual is tiny, |H| must be tiny too.  Points
+        # where it is not are skipped, so a member with none left is SKIP.
         make_check(
             "willmore_implies_minimal",
-            np.where(
-                maps["willmore_legendrian_residual"] < 1e-6, maps["norm_H"], 0.0
-            ),
+            maps["norm_H"],
             tol["willmore_implies_minimal"],
+            used_mask=maps["willmore_legendrian_residual"] < 1e-6,
         ),
     ]
     xs, ys = sample_points(spec, n_sample, seed)

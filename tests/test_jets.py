@@ -4,6 +4,8 @@ The central-difference ladder test comes first: it is the independent oracle
 everything jet-exact in this package is measured against.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -202,3 +204,120 @@ def test_branch_cut_and_degenerate_divisions_raise():
         jets.constant(0.0, 2).reciprocal()
     with pytest.raises(DegreeError):
         jets.lift_point(0.0, 0.0, jets.MAX_DEGREE + 1)
+
+
+# -- the product kernel and the dtype rule, against plain Python loops --------
+
+
+def _random_jet(rng, degree, kind, n=5):
+    shape = (jets._ncoef(degree), n)
+    c = rng.uniform(-2.0, 2.0, shape)
+    if kind == "complex":
+        c = c + 1j * rng.uniform(-2.0, 2.0, shape)
+    return jets.Jet2(degree, c)
+
+
+def _naive_product(a, b):
+    """The truncated product by a double loop over exponent pairs, point by point."""
+    degree = min(a.degree, b.degree)
+    exps = jets._exponents(degree)
+    n = a.coeffs.shape[1]
+    out = [[0.0] * n for _ in exps]
+    scale = [[0.0] * n for _ in exps]
+    for i1, (j1, k1) in enumerate(exps):
+        for i2, (j2, k2) in enumerate(exps):
+            if j1 + k1 + j2 + k2 > degree:
+                continue
+            o = jets._index(j1 + j2, k1 + k2)
+            for p in range(n):
+                term = a.coeffs[i1, p].item() * b.coeffs[i2, p].item()
+                out[o][p] += term
+                scale[o][p] += abs(term)
+    return np.array(out), np.array(scale)
+
+
+@pytest.mark.parametrize("kinds", [("real", "real"), ("complex", "complex"),
+                                   ("real", "complex"), ("complex", "real")])
+@pytest.mark.parametrize("degrees", [(d, d) for d in range(6)] + [(5, 2), (1, 4), (3, 5)])
+def test_product_matches_a_naive_double_loop(degrees, kinds):
+    rng = np.random.default_rng(sum(degrees) + 10 * len(kinds[0] + kinds[1]))
+    a = _random_jet(rng, degrees[0], kinds[0])
+    b = _random_jet(rng, degrees[1], kinds[1])
+    product = a * b
+    expected, scale = _naive_product(a, b)
+    assert product.degree == min(degrees)
+    assert np.iscomplexobj(product.coeffs) == ("complex" in kinds)
+    assert np.all(np.abs(product.coeffs - expected) <= 1e-15 * scale)
+
+
+def test_real_jets_stay_real():
+    X, Y = jets.lift_point(np.array([0.3, 0.7]), np.array([1.1, 0.2]), 5)
+    f = 2.0 + X * Y
+    results = {
+        "lift_point": X,
+        "constant": jets.constant(1.5, 5, (2,)),
+        "add": f + X,
+        "sub": f - 1.0,
+        "mul": f * Y,
+        "div": X / f,
+        "rdiv": 1.0 / f,
+        "reciprocal": f.reciprocal(),
+        "sqrt": jets.sqrt(f),
+        "sin": jets.sin(f),
+        "cos": jets.cos(X),
+        "exp": jets.exp(f),
+        "log": jets.log(f),
+        "dx": f.dx(),
+        "dy": f.dy(),
+        "real_part": f.real_part(),
+        "imag_part": f.imag_part(),
+        "real_part of complex": (f * 1j).real_part(),
+        "imag_part of complex": (f * 1j).imag_part(),
+    }
+    for name, jet in results.items():
+        assert jet.coeffs.dtype == np.float64, name
+    assert f.conjugate() is f
+    assert np.array_equal((f * 1j).imag_part().coeffs, f.coeffs)
+    for mixed in (f * jets.constant(1j, 5, (2,)), f * 1j, f + 1j, jets.exp(f * 1j),
+                  jets.lift_point(1j, 0.0, 2)[0]):
+        assert mixed.coeffs.dtype == np.complex128
+    assert complex((f + 1j).value[0]) == complex(f.value[0]) + 1j
+
+
+def _horner(a, taylor_coeffs):
+    """sum_n f_n (a - a0)^n by Horner's rule over jet products (the reference)."""
+    w = a - a.value
+    result = jets.constant(taylor_coeffs[-1], a.degree, a.batch_shape)
+    for fn in reversed(taylor_coeffs[:-1]):
+        result = result * w + fn
+    return result
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_affine_closed_form_matches_horner(kind):
+    rng = np.random.default_rng(5 if kind == "real" else 6)
+    X, Y = jets.lift_point(np.zeros(6), np.zeros(6), 5)
+    p, q, a0 = (rng.uniform(-2.0, 2.0, 6) for _ in range(3))
+    if kind == "complex":
+        p, q = p + 1j * rng.uniform(-2.0, 2.0, 6), q - 1j * rng.uniform(-2.0, 2.0, 6)
+    arg = X * p + Y * q + a0
+    f = [np.exp(arg.value) / math.factorial(n) for n in range(6)]
+    closed = jets._compose(arg, f)
+    reference = _horner(arg, f)
+    assert np.all(np.abs(closed.coeffs - reference.coeffs) <= 1e-14 * np.abs(reference.coeffs))
+    assert np.array_equal(jets.exp(arg).coeffs, closed.coeffs)
+
+
+def test_non_affine_arguments_take_horner(monkeypatch):
+    X, Y = jets.lift_point(np.array([0.4, -0.3]), np.array([0.9, 0.1]), 4)
+    arg = X * Y + jets.sin(X)
+    f = [np.exp(arg.value) / math.factorial(n) for n in range(5)]
+    calls = []
+    original = jets._affine_series
+    monkeypatch.setattr(
+        jets, "_affine_series", lambda *args: calls.append(1) or original(*args)
+    )
+    assert np.array_equal(jets._compose(arg, f).coeffs, _horner(arg, f).coeffs)
+    assert calls == []
+    jets._compose(X * 2.0 - Y, f)
+    assert calls == [1]

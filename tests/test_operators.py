@@ -282,19 +282,55 @@ def test_stencils_refuse_to_leave_non_periodic_charts():
         )
 
 
-def test_grid_residuals_are_worker_count_independent():
+def test_grid_residuals_are_worker_count_independent(monkeypatch):
+    # 64 points are too few for a second worker; lift the minimum so that
+    # the pool really runs.
+    monkeypatch.setattr(operators, "MIN_POINTS_PER_WORKER", 1)
     serial = operators.grid_residuals(CALABI, 8, 8, workers=1)
     parallel = operators.grid_residuals(CALABI, 8, 8, workers=2)
     for key, values in serial.items():
         assert np.array_equal(values, parallel[key]), key
 
 
+@pytest.mark.parametrize("name", ["mironov", "control"])
+def test_grid_residuals_do_not_depend_on_the_batch(name):
+    # Bitwise, every point's residuals are the same in the whole 16x16 batch,
+    # in contiguous sub-batches of 7 and 64 points, in one-point batches
+    # (every 17th point, to keep the test fast) and for one point alone as
+    # scalars.  So they cannot depend on how the pool splits the grid either.
+    spec = MIRONOV if name == "mironov" else CONTROL
+    xs, ys = surfaces.grid_points(spec, 16, 16)
+    whole = operators._grid_residuals(spec, xs, ys)
+    for size in (7, 64):
+        parts = [
+            operators._grid_residuals(spec, xs[a : a + size], ys[a : a + size])
+            for a in range(0, xs.size, size)
+        ]
+        for key, values in whole.items():
+            assert np.array_equal(np.concatenate([p[key] for p in parts]), values), (size, key)
+    for i in range(0, xs.size, 17):
+        single = operators._grid_residuals(spec, xs[i : i + 1], ys[i : i + 1])
+        for key, values in whole.items():
+            assert np.array_equal(single[key], values[i : i + 1]), (i, key)
+    alone = operators._grid_residuals(spec, xs[100], ys[100])
+    for key, values in whole.items():
+        assert np.shape(alone[key]) == () and alone[key] == values[100], key
+
+
 def test_pool_size_is_clamped_to_cores_and_points():
     # Pure function: a huge request is never launched, only sized.
     cores = os.cpu_count() or 1
-    assert operators._pool_size(10**9, 4096) == min(cores, 4096)
+    per_worker = operators.MIN_POINTS_PER_WORKER
+    assert operators._pool_size(10**9, 4096) == min(cores, 4096 // per_worker)
     assert operators._pool_size(10**9, 1) == 1
     assert operators._pool_size(1, 4096) == 1
+    # Small grids skip the pool: a 16x16 sweep never starts a worker, nor does
+    # any grid with fewer than MIN_POINTS_PER_WORKER points for a second one.
+    assert operators._pool_size(2, 256) == 1
+    assert operators._pool_size(10**9, 2 * per_worker - 1) == 1
+    assert operators._pool_size(10**9, 2 * per_worker) == min(cores, 2)
+    # mironov at 64x64 (4096 points) still gets 2 workers.
+    assert operators._pool_size(2, 4096) == min(cores, 2)
 
 
 def test_run_verification_bundles_grid_and_identity_checks():
@@ -306,6 +342,23 @@ def test_run_verification_bundles_grid_and_identity_checks():
     assert "willmore_implies_minimal" in names
     for check in report.checks:
         assert check.max_residual >= check.rms_residual >= 0.0
+
+
+@pytest.mark.parametrize("name", ALL_MEMBERS + ("control",))
+def test_willmore_implies_minimal_skips_when_no_point_is_gated(name):
+    # The check reads |H| only where the Willmore-Legendrian residual is
+    # below 1e-6: every point of a minimal member, none of the others.  With
+    # no point gated it is SKIP with every point skipped, not a vacuous PASS.
+    spec = CONTROL if name == "control" else build_members()[name]
+    report = operators.run_verification(spec, nx=8, ny=8, n_sample=10)
+    check = next(c for c in report.checks if c.name == "willmore_implies_minimal")
+    gated = operators.grid_residuals(spec, 8, 8)["willmore_legendrian_residual"] < 1e-6
+    assert gated.all() or not gated.any()
+    if gated.any():
+        assert (check.status, check.n_skipped) == ("PASS", 0)
+        assert check.max_residual < 1e-10
+    else:
+        assert (check.status, check.n_skipped, check.n_points) == ("SKIP", 64, 64)
 
 
 @pytest.mark.parametrize("name", ALL_MEMBERS + ("control",))
