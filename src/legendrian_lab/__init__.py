@@ -19,7 +19,6 @@ from .errors import (
     LabError,
     NonAnalyticError,
     NotOnSphereError,
-    NotTangentError,
     OrderError,
     ParamConstraintError,
     StencilOutOfDomainError,
@@ -30,20 +29,16 @@ from .errors import (
 from .ambient import (
     apply_J,
     contact_extended_J,
-    contact_form,
     contact_projection,
     hermitian_inner,
     real_inner,
     reeb,
-    sphere_covariant_derivative,
-    tangent_decomposition,
 )
 from .jets import Jet2, analytic, extract_partial, lift_point
 from .exprlang import Diagnostic, eval_complex, eval_jet, parse, to_source, validate
 from .surfaces import (
     ImmersionSpec,
     calabi,
-    evaluate_jet,
     evaluate_jet_batch,
     from_expression,
     geodesic_sphere,
@@ -83,7 +78,6 @@ __all__ = [
     "ValidationError",
     "NotOnSphereError",
     "DegenerateMetricError",
-    "NotTangentError",
     "StencilOutOfDomainError",
     "GridError",
     "UnsupportedSurfaceError",
@@ -91,11 +85,8 @@ __all__ = [
     "real_inner",
     "apply_J",
     "reeb",
-    "contact_form",
     "contact_projection",
     "contact_extended_J",
-    "sphere_covariant_derivative",
-    "tangent_decomposition",
     "lift_point",
     "analytic",
     "extract_partial",
@@ -110,7 +101,6 @@ __all__ = [
     "from_expression",
     "surface_by_name",
     "wrap_coordinate",
-    "evaluate_jet",
     "evaluate_jet_batch",
     "sample_points",
     "grid_points",

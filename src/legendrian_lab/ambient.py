@@ -30,12 +30,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotTangentError
-
-#: Tangency gate for contact_form: beyond this radial component the vector is
-#: rejected rather than silently projected.
-TANGENT_TOL = 1e-9
-
 
 def hermitian_inner(u: np.ndarray, v: np.ndarray) -> complex | np.ndarray:
     """Hermitian product sum_k u_k * conj(v_k) (linear in the first slot)."""
@@ -47,11 +41,6 @@ def hermitian_inner(u: np.ndarray, v: np.ndarray) -> complex | np.ndarray:
 def real_inner(u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
     """Real part of the hermitian product: the flat metric on R^6."""
     return np.real(hermitian_inner(u, v))
-
-
-def norm(v: np.ndarray) -> float | np.ndarray:
-    """Euclidean length sqrt(real_inner(v, v))."""
-    return np.sqrt(real_inner(v, v))
 
 
 def apply_J(v: np.ndarray) -> np.ndarray:
@@ -67,20 +56,6 @@ def reeb(p: np.ndarray, sign: int = 1) -> np.ndarray:
     option).
     """
     return (-1j * sign) * np.asarray(p)
-
-
-def contact_form(p: np.ndarray, v: np.ndarray, sign: int = 1) -> float | np.ndarray:
-    """Contact form alpha(v) = real_inner(v, reeb(p)) for v tangent at p.
-
-    Raises ERR_NOT_TANGENT when v has a radial component larger than 1e-9,
-    since alpha is only defined on tangent vectors.
-    """
-    radial = np.abs(real_inner(v, p))
-    if np.any(radial > TANGENT_TOL):
-        raise NotTangentError(
-            f"vector has radial component {float(np.max(radial)):.3e} at the base point"
-        )
-    return real_inner(v, reeb(p, sign))
 
 
 def contact_projection(p: np.ndarray, v: np.ndarray, sign: int = 1) -> np.ndarray:
@@ -100,30 +75,3 @@ def contact_extended_J(p: np.ndarray, v: np.ndarray, sign: int = 1) -> np.ndarra
     """
     return apply_J(contact_projection(p, v, sign))
 
-
-def sphere_covariant_derivative(
-    p: np.ndarray, dV: np.ndarray
-) -> np.ndarray:
-    """Project an ambient derivative of a tangent field onto the sphere.
-
-    If a field V(t) along a curve on the unit sphere has ambient derivative
-    dV at the point p, the sphere's Levi-Civita derivative is
-    dV - real_inner(dV, p) * p (Gauss formula for the unit sphere).
-    """
-    return dV - real_inner(dV, p) * p
-
-
-def tangent_decomposition(
-    p: np.ndarray, v: np.ndarray, sign: int = 1
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split an arbitrary ambient vector at p into (contact, Reeb, radial) parts.
-
-    Returns (h, a * R, c * p) with v = h + a*R + c*p exactly; h lies in the
-    contact hyperplane.
-    """
-    c = real_inner(v, p)
-    radial = c * p
-    tangent = v - radial
-    r = reeb(p, sign)
-    a = real_inner(tangent, r)
-    return tangent - a * r, a * r, radial

@@ -35,28 +35,8 @@ import numpy as np
 from . import ambient
 from .errors import LabError, UnsupportedSurfaceError, ValidationError
 from .geometry import ChartFrame
-from .operators import grid_residuals, make_check, run_verification, willmore_energy
+from .operators import CHECKS, checks_in, grid_residuals, run_verification, willmore_energy
 from .surfaces import ImmersionSpec, from_expression, grid_points, surface_by_name
-
-#: Deviation tolerance for every closed-form table row.
-TABLE_TOLERANCE = 1e-10
-
-#: Residual thresholds behind the classify verdicts (printed in each report).
-CLASSIFY_TOLERANCES = {
-    "legendrian": 1e-10,
-    "minimal": 1e-8,
-    "csl": 1e-7,
-    "willmore_legendrian": 1e-8,
-    "csl_willmore": 1e-5,
-}
-
-CLASSIFY_EVIDENCE = {
-    "legendrian": "grid-max Legendrian defect",
-    "minimal": "grid-max |H|",
-    "csl": "grid-max |Div(JH)|",
-    "willmore_legendrian": "grid-max Willmore-Legendrian residual",
-    "csl_willmore": "grid-max csL-Willmore residual",
-}
 
 
 # -- run configuration ---------------------------------------------------------
@@ -247,10 +227,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         scale *= _parse_float(env_scale, "LEGLAB_TOLERANCE_SCALE")
     if not 0.0 < scale < math.inf:
         raise ValidationError("tolerance scale must be positive and finite")
-    overrides = {
-        name: _parse_float(value, f"[tolerances] {name}")
-        for name, value in tol_cfg.items()
-    }
+    # One config file serves every command, so any command's check name is
+    # valid; keys are read lowercased, so match them lowercased.
+    names = {row.name.lower(): row.name for row in CHECKS}
+    overrides = {}
+    for key, value in tol_cfg.items():
+        if key not in names:
+            raise ValidationError(f"[tolerances] {key}: no check has this name")
+        overrides[names[key]] = _parse_float(value, f"[tolerances] {key}")
     for name, value in overrides.items():
         if not 0.0 < value * scale < math.inf:
             raise ValidationError(f"[tolerances] {name} must be positive and finite once scaled")
@@ -531,8 +515,10 @@ def cmd_table(config: RunConfig) -> int:
         raise UnsupportedSurfaceError(
             f"table requires a calabi or mironov surface, got {spec.kind!r}"
         )
-    tol = TABLE_TOLERANCE * config.tolerance_scale
-    checks = [make_check(row.name, row.deviation, tol) for row in rows]
+    table_checks = {check.name: check for check in checks_in("table")}
+    checks = [
+        table_checks[row.name].result(row.deviation, config.tolerance_scale) for row in rows
+    ]
     checks = _apply_overrides(checks, config.tolerance_overrides, config.tolerance_scale)
     payload = _base_payload(config)
     payload["table"] = [
@@ -553,8 +539,9 @@ def cmd_table(config: RunConfig) -> int:
 def cmd_energy(config: RunConfig) -> int:
     area, energy = willmore_energy(config.spec, (config.nx, config.ny))
     area2, energy2 = willmore_energy(config.spec, (2 * config.nx, 2 * config.ny))
-    tol = 1e-10 * config.tolerance_scale
-    checks = [make_check("quadrature_doubling", energy2 - energy, tol)]
+    checks = [
+        check.result(energy2 - energy, config.tolerance_scale) for check in checks_in("energy")
+    ]
     checks = _apply_overrides(checks, config.tolerance_overrides, config.tolerance_scale)
     payload = _base_payload(config)
     payload["quantities"] = {
@@ -573,21 +560,14 @@ def cmd_energy(config: RunConfig) -> int:
 
 def cmd_classify(config: RunConfig) -> int:
     maps = grid_residuals(config.spec, config.nx, config.ny, workers=config.workers)
-    values = {
-        "legendrian": float(np.max(maps["legendrian_defect"])),
-        "minimal": float(np.max(maps["norm_H"])),
-        "csl": float(np.max(maps["csl_residual"])),
-        "willmore_legendrian": float(np.max(maps["willmore_legendrian_residual"])),
-        "csl_willmore": float(np.max(maps["csl_willmore_residual"])),
-    }
-    scale = config.tolerance_scale
     labels = []
-    for name, value in values.items():
-        tol = config.tolerance_overrides.get(name, CLASSIFY_TOLERANCES[name]) * scale
+    for check in checks_in("classify"):
+        value = float(np.max(check.residual(maps)))
+        tol = config.tolerance_overrides.get(check.name, check.tolerance) * config.tolerance_scale
         labels.append(
             {
-                "name": name,
-                "paper_ref": CLASSIFY_EVIDENCE[name],
+                "name": check.name,
+                "paper_ref": check.description,
                 "value": value,
                 "tolerance": tol,
                 "status": "yes" if value < tol else "no",

@@ -92,12 +92,6 @@ class DegenerateMetricError(LabError):
     code = "ERR_DEGENERATE_METRIC"
 
 
-class NotTangentError(LabError):
-    """A vector expected to be tangent to the sphere has a radial component."""
-
-    code = "ERR_NOT_TANGENT"
-
-
 class StencilOutOfDomainError(LabError):
     """A finite-difference stencil would leave a non-periodic chart."""
 

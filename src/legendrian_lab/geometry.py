@@ -256,7 +256,7 @@ class ChartFrame:
         self.xs = np.asarray(xs, dtype=float)
         self.ys = np.asarray(ys, dtype=float)
         self.degree = degree
-        self.F = evaluate_jet_batch(spec, self.xs, self.ys, degree, wrap=False)
+        self.F = evaluate_jet_batch(spec, self.xs, self.ys, degree)
 
     # --- first derivatives and metric ---
 

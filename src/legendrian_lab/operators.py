@@ -1,16 +1,35 @@
-"""Checks over ``geometry.ChartFrame`` sweeps: grid residuals, identities, energy.
+"""The check registry, and the sweeps over ``geometry.ChartFrame`` that feed it.
+
+``CHECKS`` is an ordered tuple with one ``Check`` row for every check any
+command can print.  A row holds the check's name, its family, its tolerance
+(scaled by the CLI's tolerance factor), its description, the per-point
+residual it reads and the mask of points it reads it at.  Each command
+iterates the rows of its families, in registry order:
+
+* ``grid`` rows (``run_verification``) read the residual maps that
+  ``grid_residuals`` sweeps over the half-offset grid;
+* ``identity`` rows (``identity_suite``, after the grid rows in ``verify``)
+  read a degree-5 ``ChartFrame`` at seeded sample points;
+* ``classify`` rows read the same grid maps; the CLI prints their grid max
+  against the tolerance as a yes/no verdict;
+* ``table`` and ``energy`` rows carry only a name, a tolerance and a
+  description: the CLI computes their deviation.
+
+A mask selects all points, the csL-gated points (all or none: the batch's
+max |Div(JH)| must be below ``CSL_GATE``), the csL-gated points with
+|H| >= ``SMALL_H``, or the points whose Willmore-Legendrian residual is below
+1e-6.  Points outside the mask count as skipped; a row whose mask selects no
+point is SKIP, and its residual is not computed.  A name may appear in two
+families: ``legendrian_defect`` is both a grid row and an identity row, and
+one ``[tolerances]`` override sets both.
 
 Derivative strategy (the accuracy budget everything below leans on):
 
 * Every residual and identity term comes out of the degree-5 jet chain in
-  ``ChartFrame`` with no finite-difference error: the metric, B, H, JH,
-  Div(JH) and its gradient, Delta Div(JH), the direct form
-  Div(J W - 2 JH), Div(J B(JH,JH)), the rough Laplacian of JH, the
-  normal-bundle Laplacian of H, |nabla JH|^2, Delta|H|^2, Delta log|H|, the
-  obstruction trace and the chart partials of the cubic form and of the
-  one-form dual to JH.  One sweep builds one frame per batch of points.
-  (The two Sasakian checks test the ambient sphere, not the surface; they
-  differentiate along great circles with their own 4-point stencil.)
+  ``ChartFrame`` with no finite-difference error.  One sweep builds one frame
+  per batch of points.  (The two Sasakian checks test the ambient sphere, not
+  the surface; they differentiate along great circles with their own 4-point
+  stencil.)
 
 * Finite differences are the independent cross-check, not a second engine:
   ``partial_derivative`` (4th-order central differences with step
@@ -20,8 +39,8 @@ Derivative strategy (the accuracy budget everything below leans on):
   the metric with the Gauss equation, and the tests, which hold the jets to
   it.
 
-Residuals swept by ``grid_residuals`` (ambient Euclidean norm for vector
-equations, absolute value for scalar ones), each a ``ChartFrame`` property:
+The grid maps (ambient Euclidean norm for vector equations, absolute value
+for scalar ones), each read off a ``ChartFrame`` property:
 
 * csL:                  Div(JH) = 0
 * Willmore-Legendrian:  -J grad Div(JH) + B(JH,JH) - |H|^2 H / 2
@@ -30,19 +49,18 @@ equations, absolute value for scalar ones), each a ``ChartFrame`` property:
                         - |H|^2 Div(JH) / 2 - 4 Div(JH) = 0,
   cross-checked against the direct form Div(J W - 2 JH) where W is half the
   Willmore-Legendrian bracket (so <W, R> = -Div(JH)).
-
-``identity_suite`` verifies the web of identities connecting these
-quantities at seeded sample points; ``run_verification`` bundles the grid
-residuals plus the suite into one report.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
+from operator import itemgetter
 
 import numpy as np
 
@@ -69,70 +87,6 @@ CSL_GATE = 1e-6
 #: workers at 256 points, 0.051 s and 0.052 s at 1024, 0.064 s and 0.054 s at
 #: 1600.
 MIN_POINTS_PER_WORKER = 512
-
-#: Tolerances for the identity suite (scaled by the CLI's tolerance factor).
-IDENTITY_TOLERANCES = {
-    "legendrian_defect": 1e-11,
-    "tri_symmetry": 1e-11,
-    "reeb_normal": 1e-11,
-    "gauss_claim": 1e-10,
-    "gauss_vs_brioschi": 1e-7,
-    "gauss_vs_brioschi_fd": 1e-7,
-    "ricci_identity": 1e-5,
-    "normal_laplacian": 1e-4,
-    "div_jb_identity": 1e-5,
-    "bochner": 1e-5,
-    "log_h_curvature": 1e-5,
-    "four_symmetry": 1e-6,
-    "closedness": 1e-6,
-    "sasakian_reeb": 1e-6,
-    "sasakian_J": 1e-6,
-}
-
-#: Tolerances for the grid residual checks run by the verify command.
-VERIFY_TOLERANCES = {
-    "legendrian_defect": 1e-10,
-    "csl_residual": 1e-7,
-    "csl_willmore_residual": 1e-5,
-    "csl_willmore_agreement": 1e-4,
-    "obstruction_trace": 1e-6,
-    "willmore_implies_minimal": 1e-6,
-}
-
-#: Neutral one-line description attached to each check in reports.
-CHECK_DESCRIPTIONS = {
-    "legendrian_defect": "unit-norm and Legendrian tangency defect of F",
-    "tri_symmetry": "full symmetry of the cubic form <B(e_a,e_b), J e_c>",
-    "reeb_normal": "H orthogonal to the Reeb direction; vanishing Reeb shape operator",
-    "gauss_claim": "2*kappa = 2 + |H|^2 - |B|^2",
-    "gauss_vs_brioschi": "Gauss-equation curvature vs intrinsic Brioschi (jet metric derivatives)",
-    "gauss_vs_brioschi_fd": "Gauss-equation curvature vs intrinsic Brioschi (finite-difference metric derivatives)",
-    "ricci_identity": "Delta(JH) = grad Div(JH) + kappa JH for the closed dual one-form",
-    "normal_laplacian": "normal-bundle Laplacian identity Delta^nu H + J Delta(JH) + H + 2 Div(JH) R = 0",
-    "div_jb_identity": "Div(J B(JH,JH)) = 2 trace<B(., nabla . JH), H> + grad_{JH}|H|^2 / 2",
-    "bochner": "1/2 Delta|H|^2 = |nabla JH|^2 + kappa |JH|^2 on csL members",
-    "log_h_curvature": "Delta log|H| = kappa away from zeros of H on csL members",
-    "four_symmetry": "full symmetry of the covariant derivative of the cubic form",
-    "closedness": "closedness of the one-form dual to JH",
-    "sasakian_reeb": "sphere covariant derivative of the Reeb field equals -J X",
-    "sasakian_J": "(nabla_X J)(Y) = <X,Y> R - alpha(Y) X on the sphere",
-    "csl_residual": "csL equation: Div(JH) = 0",
-    "csl_willmore_residual": "csL-Willmore equation (expanded fourth-order form)",
-    "csl_willmore_agreement": "expanded vs direct csL-Willmore residual agreement",
-    "obstruction_trace": "trace<B(., nabla . JH), H> = 0",
-    "willmore_implies_minimal": "small Willmore-Legendrian residual forces small |H|",
-    "willmore_legendrian_residual": "Willmore-Legendrian equation residual (grid max reported)",
-    "quadrature_doubling": "energy change under grid doubling (spectral stability)",
-    "metric": "closed-form induced metric",
-    "shape_operator_nu1": "shape operator for the unit normal J e_1 (orthonormal frame)",
-    "shape_operator_nu2": "shape operator for the unit normal J e_2 (orthonormal frame)",
-    "mean_curvature_mu": "mean curvature components in the J e_a frame",
-    "norm_H_sq": "squared mean curvature norm",
-    "gauss_curvature": "Gauss curvature of the induced metric",
-    "shape_operator_iFx": "chart quadratic form <B_ij, i F_x> (non-unit normal)",
-    "shape_operator_iFy": "chart quadratic form <B_ij, i F_y> (non-unit normal)",
-    "mean_curvature_components": "mean curvature pairings (<H, i F_x>, <H, i F_y>)",
-}
 
 
 # -- report containers --------------------------------------------------------
@@ -169,46 +123,55 @@ class ResidualReport:
         return all(c.passed for c in self.checks)
 
 
-def make_check(
-    name: str,
-    residuals: np.ndarray,
-    tolerance: float,
-    used_mask: np.ndarray | None = None,
-) -> CheckResult:
-    """Aggregate per-point residuals (or one scalar) into a named check.
+@dataclass(frozen=True)
+class Check:
+    """One registry row.
 
-    Points outside ``used_mask`` count as skipped; a check with no point left
-    is SKIP, otherwise it passes when the max |residual| is below ``tolerance``.
+    ``residual`` and ``mask`` read the row's source: the grid maps for
+    ``grid`` and ``classify`` rows, a ``ChartFrame`` for ``identity`` rows.
+    ``mask`` None selects every point.  ``table`` and ``energy`` rows have no
+    residual: their value is handed to ``result``.
     """
-    residuals = np.atleast_1d(np.asarray(residuals, dtype=float))
-    n = residuals.size
-    if used_mask is None:
-        used_mask = np.ones(n, dtype=bool)
-    used = residuals[used_mask]
-    n_used = used.size
-    if n_used == 0:
+
+    name: str
+    family: str  # grid | identity | classify | table | energy
+    tolerance: float
+    description: str
+    residual: Callable | None = None
+    mask: Callable | None = None
+
+    def evaluate(self, source, tolerance_scale: float = 1.0) -> CheckResult:
+        """The check on ``source``; with no point masked in, the residual is not computed."""
+        used = None if self.mask is None else self.mask(source)
+        if used is not None and not used.any():
+            return self.result(np.zeros(used.size), tolerance_scale, used)
+        return self.result(self.residual(source), tolerance_scale, used)
+
+    def result(self, residuals, tolerance_scale: float = 1.0, used=None) -> CheckResult:
+        """Aggregate per-point residuals (or one scalar) into this check's result.
+
+        Points outside ``used`` count as skipped; a check with no point left
+        is SKIP, otherwise it passes when the max |residual| is below the
+        scaled tolerance.
+        """
+        residuals = np.atleast_1d(np.asarray(residuals, dtype=float))
+        n = residuals.size
+        if used is not None:
+            residuals = residuals[used]
+        tolerance = self.tolerance * tolerance_scale
+        if residuals.size == 0:
+            return CheckResult(self.name, self.description, n, n, 0.0, 0.0, tolerance, "SKIP")
+        max_r = float(np.max(np.abs(residuals)))
         return CheckResult(
-            name=name,
-            description=CHECK_DESCRIPTIONS.get(name, name),
+            name=self.name,
+            description=self.description,
             n_points=n,
-            n_skipped=n,
-            max_residual=0.0,
-            rms_residual=0.0,
+            n_skipped=n - residuals.size,
+            max_residual=max_r,
+            rms_residual=float(np.sqrt(np.mean(residuals**2))),
             tolerance=tolerance,
-            status="SKIP",
+            status="PASS" if max_r < tolerance else "FAIL",
         )
-    max_r = float(np.max(np.abs(used)))
-    rms = float(np.sqrt(np.mean(used**2)))
-    return CheckResult(
-        name=name,
-        description=CHECK_DESCRIPTIONS.get(name, name),
-        n_points=n,
-        n_skipped=n - n_used,
-        max_residual=max_r,
-        rms_residual=rms,
-        tolerance=tolerance,
-        status="PASS" if max_r < tolerance else "FAIL",
-    )
 
 
 # -- finite differences -------------------------------------------------------
@@ -269,7 +232,76 @@ def brioschi_curvature_fd(spec: ImmersionSpec, xs, ys) -> np.ndarray:
     return brioschi(fr.g, fr.dg, ddg_y[1, 0, 0], ddg_x[1, 0, 1], ddg_x[0, 1, 1])
 
 
-# -- the identity suite -------------------------------------------------------
+# -- identity residuals and masks ---------------------------------------------
+
+
+class _SampleFrame(ChartFrame):
+    """The identity suite's degree-5 frame, with the run's Reeb sign and the
+    two Sasakian residuals that depend on it."""
+
+    def __init__(self, spec: ImmersionSpec, xs, ys, reeb_sign: int):
+        super().__init__(spec, xs, ys, degree=5)
+        self.reeb_sign = reeb_sign
+
+    @cached_property
+    def sasakian(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sasakian_reeb, sasakian_J) residuals for X = e1, Y0 = e2 + R/2 + e1/4."""
+        R = ambient.reeb(self.F_v, self.reeb_sign)
+        Y0 = self.e2 + 0.5 * R + 0.25 * self.e1
+        return _sasakian_residuals(self.F_v, self.e1, Y0, self.reeb_sign)
+
+
+def _tri_symmetry(fr) -> np.ndarray:
+    """Asymmetry of the cubic form's orthonormal components."""
+    sig = fr.sigma_frame
+    tri = np.zeros(fr.xs.size)
+    for perm in permutations(range(3)):
+        tri = np.maximum(tri, np.max(np.abs(sig - np.transpose(
+            sig, perm + (3,) if sig.ndim == 4 else perm)), axis=(0, 1, 2)))
+    return tri
+
+
+def _reeb_normal(fr) -> np.ndarray:
+    R = ambient.reeb(fr.F_v)
+    h_dot_R = np.abs(ambient.real_inner(fr.H, R))
+    A_R = np.abs(fr.form(R)).max(axis=(0, 1))
+    return np.maximum(h_dot_R, A_R)
+
+
+def _ricci_identity(fr) -> np.ndarray:
+    ricci = fr.laplace_JH - fr.grad_div_JH - fr.kappa * fr.a
+    return np.sqrt(np.einsum("ij...,i...,j...->...", fr.g, ricci, ricci))
+
+
+def _normal_laplacian(fr) -> np.ndarray:
+    R = ambient.reeb(fr.F_v)
+    lap_JH_amb = fr.laplace_JH[0] * fr.Fx_v + fr.laplace_JH[1] * fr.Fy_v
+    nl = fr.normal_laplacian_H + ambient.apply_J(lap_JH_amb) + fr.H + 2.0 * fr.div_JH * R
+    return np.sqrt(np.sum(np.abs(nl) ** 2, axis=0))
+
+
+def _div_jb_identity(fr) -> np.ndarray:
+    grad_h2_along_JH = np.einsum("i...,ij...,j...->...", fr.a, fr.g, fr.grad_norm_H_sq)
+    return np.abs(fr.div_JB_JH_JH - 2.0 * fr.obstruction_density - 0.5 * grad_h2_along_JH)
+
+
+def _four_symmetry(fr) -> np.ndarray:
+    """Asymmetry of the covariant derivative of sigma (chart components)."""
+    sig_c, gamma = fr.sigma_chart, fr.gamma
+    nabla_sigma = (
+        fr.d_sigma_chart
+        - np.einsum("mli...,mjk...->lijk...", gamma, sig_c)
+        - np.einsum("mlj...,imk...->lijk...", gamma, sig_c)
+        - np.einsum("mlk...,ijm...->lijk...", gamma, sig_c)
+    )
+    four = np.zeros(fr.xs.size)
+    base_axes = (0, 1, 2, 3)
+    for perm in permutations(base_axes):
+        if perm == base_axes:
+            continue
+        moved = np.transpose(nabla_sigma, perm + (4,) if nabla_sigma.ndim == 5 else perm)
+        four = np.maximum(four, np.max(np.abs(nabla_sigma - moved), axis=(0, 1, 2, 3)))
+    return four
 
 
 def _sasakian_residuals(
@@ -319,6 +351,132 @@ def _sasakian_residuals(
     return res1, res2
 
 
+def _csl_gated(fr) -> np.ndarray:
+    """Every point when the batch's max |Div(JH)| is below CSL_GATE, else none."""
+    return np.full(fr.xs.size, bool(np.max(np.abs(fr.div_JH)) < CSL_GATE))
+
+
+def _csl_gated_away_from_zero_H(fr) -> np.ndarray:
+    return _csl_gated(fr) & (np.sqrt(fr.norm_H_sq) >= SMALL_H)
+
+
+def _willmore_legendrian_gated(maps) -> np.ndarray:
+    """Points whose Willmore-Legendrian residual is below 1e-6."""
+    return maps["willmore_legendrian_residual"] < 1e-6
+
+
+# -- the registry -------------------------------------------------------------
+
+
+CHECKS = (
+    # verify: the grid maps of grid_residuals.
+    Check("legendrian_defect", "grid", 1e-10,
+          "unit-norm and Legendrian tangency defect of F",
+          itemgetter("legendrian_defect")),
+    Check("csl_residual", "grid", 1e-7,
+          "csL equation: Div(JH) = 0",
+          itemgetter("csl_residual")),
+    Check("csl_willmore_residual", "grid", 1e-5,
+          "csL-Willmore equation (expanded fourth-order form)",
+          itemgetter("csl_willmore_residual")),
+    Check("csl_willmore_agreement", "grid", 1e-4,
+          "expanded vs direct csL-Willmore residual agreement",
+          lambda m: np.abs(m["csl_willmore_residual"] - 2.0 * m["csl_willmore_direct"])),
+    Check("obstruction_trace", "grid", 1e-6,
+          "trace<B(., nabla . JH), H> = 0",
+          itemgetter("obstruction_trace")),
+    # Consistency with the classification theorem: wherever the
+    # Willmore-Legendrian residual is tiny, |H| must be tiny too.
+    Check("willmore_implies_minimal", "grid", 1e-6,
+          "small Willmore-Legendrian residual forces small |H|",
+          itemgetter("norm_H"), _willmore_legendrian_gated),
+    # verify and identity_suite: a degree-5 frame at seeded sample points.
+    Check("legendrian_defect", "identity", 1e-11,
+          "unit-norm and Legendrian tangency defect of F",
+          lambda fr: legendrian_defect(fr.F)),
+    Check("tri_symmetry", "identity", 1e-11,
+          "full symmetry of the cubic form <B(e_a,e_b), J e_c>",
+          _tri_symmetry),
+    Check("reeb_normal", "identity", 1e-11,
+          "H orthogonal to the Reeb direction; vanishing Reeb shape operator",
+          _reeb_normal),
+    Check("gauss_claim", "identity", 1e-10,
+          "2*kappa = 2 + |H|^2 - |B|^2",
+          lambda fr: np.abs(2.0 * fr.kappa - 2.0 - fr.norm_H_sq + fr.norm_B_sq)),
+    Check("gauss_vs_brioschi", "identity", 1e-7,
+          "Gauss-equation curvature vs intrinsic Brioschi (jet metric derivatives)",
+          lambda fr: np.abs(fr.kappa_brioschi - fr.kappa)),
+    Check("gauss_vs_brioschi_fd", "identity", 1e-7,
+          "Gauss-equation curvature vs intrinsic Brioschi "
+          "(finite-difference metric derivatives)",
+          lambda fr: np.abs(brioschi_curvature_fd(fr.spec, fr.xs, fr.ys) - fr.kappa)),
+    Check("ricci_identity", "identity", 1e-5,
+          "Delta(JH) = grad Div(JH) + kappa JH for the closed dual one-form",
+          _ricci_identity),
+    Check("normal_laplacian", "identity", 1e-4,
+          "normal-bundle Laplacian identity Delta^nu H + J Delta(JH) + H + 2 Div(JH) R = 0",
+          _normal_laplacian),
+    Check("div_jb_identity", "identity", 1e-5,
+          "Div(J B(JH,JH)) = 2 trace<B(., nabla . JH), H> + grad_{JH}|H|^2 / 2",
+          _div_jb_identity),
+    Check("bochner", "identity", 1e-5,
+          "1/2 Delta|H|^2 = |nabla JH|^2 + kappa |JH|^2 on csL members",
+          lambda fr: np.abs(
+              0.5 * fr.laplace_norm_H_sq - fr.norm_nabla_JH_sq - fr.kappa * fr.norm_H_sq
+          ),
+          _csl_gated),
+    Check("log_h_curvature", "identity", 1e-5,
+          "Delta log|H| = kappa away from zeros of H on csL members",
+          lambda fr: np.abs(fr.laplace_log_H - fr.kappa), _csl_gated_away_from_zero_H),
+    Check("four_symmetry", "identity", 1e-6,
+          "full symmetry of the covariant derivative of the cubic form",
+          _four_symmetry),
+    Check("closedness", "identity", 1e-6,
+          "closedness of the one-form dual to JH",
+          lambda fr: np.abs(fr.d_omega[0, 1] - fr.d_omega[1, 0])),
+    Check("sasakian_reeb", "identity", 1e-6,
+          "sphere covariant derivative of the Reeb field equals -J X",
+          lambda fr: fr.sasakian[0]),
+    Check("sasakian_J", "identity", 1e-6,
+          "(nabla_X J)(Y) = <X,Y> R - alpha(Y) X on the sphere",
+          lambda fr: fr.sasakian[1]),
+    # classify: grid maxima as yes/no verdicts.
+    Check("legendrian", "classify", 1e-10,
+          "grid-max Legendrian defect", itemgetter("legendrian_defect")),
+    Check("minimal", "classify", 1e-8,
+          "grid-max |H|", itemgetter("norm_H")),
+    Check("csl", "classify", 1e-7,
+          "grid-max |Div(JH)|", itemgetter("csl_residual")),
+    Check("willmore_legendrian", "classify", 1e-8,
+          "grid-max Willmore-Legendrian residual", itemgetter("willmore_legendrian_residual")),
+    Check("csl_willmore", "classify", 1e-5,
+          "grid-max csL-Willmore residual", itemgetter("csl_willmore_residual")),
+    # table: grid-max deviation of each closed-form row.
+    Check("metric", "table", 1e-10, "closed-form induced metric"),
+    Check("shape_operator_nu1", "table", 1e-10,
+          "shape operator for the unit normal J e_1 (orthonormal frame)"),
+    Check("shape_operator_nu2", "table", 1e-10,
+          "shape operator for the unit normal J e_2 (orthonormal frame)"),
+    Check("mean_curvature_mu", "table", 1e-10, "mean curvature components in the J e_a frame"),
+    Check("norm_H_sq", "table", 1e-10, "squared mean curvature norm"),
+    Check("gauss_curvature", "table", 1e-10, "Gauss curvature of the induced metric"),
+    Check("shape_operator_iFx", "table", 1e-10,
+          "chart quadratic form <B_ij, i F_x> (non-unit normal)"),
+    Check("shape_operator_iFy", "table", 1e-10,
+          "chart quadratic form <B_ij, i F_y> (non-unit normal)"),
+    Check("mean_curvature_components", "table", 1e-10,
+          "mean curvature pairings (<H, i F_x>, <H, i F_y>)"),
+    # energy: the change of the Willmore energy under grid doubling.
+    Check("quadrature_doubling", "energy", 1e-10,
+          "energy change under grid doubling (spectral stability)"),
+)
+
+
+def checks_in(family: str) -> tuple[Check, ...]:
+    """The registry rows of one family, in registry order."""
+    return tuple(row for row in CHECKS if row.family == family)
+
+
 def identity_suite(
     spec: ImmersionSpec,
     points,
@@ -332,126 +490,11 @@ def identity_suite(
     csL-only identities) are counted as skipped, never silently dropped.
     """
     xs, ys = (np.asarray(a, dtype=float) for a in points)
-    n = xs.size
-    tol = {k: v * tolerance_scale for k, v in IDENTITY_TOLERANCES.items()}
-    fr = ChartFrame(spec, xs, ys, degree=5)
-    checks: list[CheckResult] = []
-
-    checks.append(
-        make_check("legendrian_defect", legendrian_defect(fr.F), tol["legendrian_defect"])
-    )
-
-    # Cubic form symmetry (orthonormal components).
-    sig = fr.sigma_frame
-    tri = np.zeros(n)
-    for perm in permutations(range(3)):
-        tri = np.maximum(tri, np.max(np.abs(sig - np.transpose(
-            sig, perm + (3,) if sig.ndim == 4 else perm)), axis=(0, 1, 2)))
-    checks.append(make_check("tri_symmetry", tri, tol["tri_symmetry"]))
-
-    # H orthogonal to Reeb; vanishing Reeb shape operator.
-    R = ambient.reeb(fr.F_v)
-    h_dot_R = np.abs(ambient.real_inner(fr.H, R))
-    A_R = np.abs(fr.form(R)).max(axis=(0, 1))
-    checks.append(make_check("reeb_normal", np.maximum(h_dot_R, A_R), tol["reeb_normal"]))
-
-    # Claim: 2 kappa = 2 + |H|^2 - |B|^2.
-    claim = np.abs(2.0 * fr.kappa - 2.0 - fr.norm_H_sq + fr.norm_B_sq)
-    checks.append(make_check("gauss_claim", claim, tol["gauss_claim"]))
-
-    # Intrinsic (Brioschi) vs extrinsic (Gauss equation) curvature.
-    checks.append(
-        make_check(
-            "gauss_vs_brioschi", np.abs(fr.kappa_brioschi - fr.kappa), tol["gauss_vs_brioschi"]
-        )
-    )
-    checks.append(
-        make_check(
-            "gauss_vs_brioschi_fd",
-            np.abs(brioschi_curvature_fd(spec, xs, ys) - fr.kappa),
-            tol["gauss_vs_brioschi_fd"],
-        )
-    )
-
-    # Ricci identity for the closed one-form dual to JH.
-    ricci = fr.laplace_JH - fr.grad_div_JH - fr.kappa * fr.a
-    ricci_norm = np.sqrt(np.einsum("ij...,i...,j...->...", fr.g, ricci, ricci))
-    checks.append(make_check("ricci_identity", ricci_norm, tol["ricci_identity"]))
-
-    # Normal-bundle Laplacian identity.
-    lap_JH_amb = fr.laplace_JH[0] * fr.Fx_v + fr.laplace_JH[1] * fr.Fy_v
-    nl = fr.normal_laplacian_H + ambient.apply_J(lap_JH_amb) + fr.H + 2.0 * fr.div_JH * R
-    checks.append(
-        make_check(
-            "normal_laplacian",
-            np.sqrt(np.sum(np.abs(nl) ** 2, axis=0)),
-            tol["normal_laplacian"],
-        )
-    )
-
-    # Div(J B(JH,JH)) identity.
-    grad_h2_along_JH = np.einsum("i...,ij...,j...->...", fr.a, fr.g, fr.grad_norm_H_sq)
-    div_jb_res = np.abs(
-        fr.div_JB_JH_JH - 2.0 * fr.obstruction_density - 0.5 * grad_h2_along_JH
-    )
-    checks.append(make_check("div_jb_identity", div_jb_res, tol["div_jb_identity"]))
-
-    # csL gate for the csL-only identities.
-    is_csl = bool(np.max(np.abs(fr.div_JH)) < CSL_GATE)
-    csl_mask = np.full(n, is_csl)
-
-    # Bochner identity (csL members: surface Ricci = kappa g).
-    bochner = np.abs(
-        0.5 * fr.laplace_norm_H_sq - fr.norm_nabla_JH_sq - fr.kappa * fr.norm_H_sq
-    )
-    checks.append(make_check("bochner", bochner, tol["bochner"], used_mask=csl_mask))
-
-    # Delta log|H| = kappa away from zeros of H (csL members).
-    big_h = np.sqrt(fr.norm_H_sq) >= SMALL_H
-    log_mask = csl_mask & big_h
-    if np.any(log_mask):
-        log_res = np.abs(fr.laplace_log_H - fr.kappa)
-    else:
-        log_res = np.zeros(n)
-    checks.append(
-        make_check("log_h_curvature", log_res, tol["log_h_curvature"], used_mask=log_mask)
-    )
-
-    # Four-symmetry of the covariant derivative of sigma (chart components).
-    sig_c, gamma = fr.sigma_chart, fr.gamma
-    nabla_sigma = (
-        fr.d_sigma_chart
-        - np.einsum("mli...,mjk...->lijk...", gamma, sig_c)
-        - np.einsum("mlj...,imk...->lijk...", gamma, sig_c)
-        - np.einsum("mlk...,ijm...->lijk...", gamma, sig_c)
-    )
-    four = np.zeros(n)
-    base_axes = (0, 1, 2, 3)
-    for perm in permutations(base_axes):
-        if perm == base_axes:
-            continue
-        moved = np.transpose(nabla_sigma, perm + (4,) if nabla_sigma.ndim == 5 else perm)
-        four = np.maximum(four, np.max(np.abs(nabla_sigma - moved), axis=(0, 1, 2, 3)))
-    checks.append(make_check("four_symmetry", four, tol["four_symmetry"]))
-
-    # Closedness of the one-form dual to JH.
-    d_omega = fr.d_omega
-    checks.append(
-        make_check("closedness", np.abs(d_omega[0, 1] - d_omega[1, 0]), tol["closedness"])
-    )
-
-    # Sasakian identities of the ambient sphere at the surface points.
-    X = fr.e1
-    R_s = ambient.reeb(fr.F_v, reeb_sign)
-    Y0 = fr.e2 + 0.5 * R_s + 0.25 * fr.e1
-    res1, res2 = _sasakian_residuals(fr.F_v, X, Y0, reeb_sign)
-    checks.append(make_check("sasakian_reeb", res1, tol["sasakian_reeb"]))
-    checks.append(make_check("sasakian_J", res2, tol["sasakian_J"]))
-
+    fr = _SampleFrame(spec, xs, ys, reeb_sign)
     return ResidualReport(
         surface=spec.label,
-        descriptor=f"{n} seeded interior points",
-        checks=tuple(checks),
+        descriptor=f"{xs.size} seeded interior points",
+        checks=tuple(row.evaluate(fr, tolerance_scale) for row in checks_in("identity")),
     )
 
 
@@ -559,31 +602,9 @@ def run_verification(
     tolerance_scale: float = 1.0,
     reeb_sign: int = 1,
 ) -> ResidualReport:
-    """Grid residual checks plus the pointwise identity suite, as one report."""
+    """The grid rows on the grid maps, then the identity suite, as one report."""
     maps = grid_residuals(spec, nx, ny, workers=workers)
-    tol = {k: v * tolerance_scale for k, v in VERIFY_TOLERANCES.items()}
-    checks = [
-        make_check("legendrian_defect", maps["legendrian_defect"], tol["legendrian_defect"]),
-        make_check("csl_residual", maps["csl_residual"], tol["csl_residual"]),
-        make_check(
-            "csl_willmore_residual", maps["csl_willmore_residual"], tol["csl_willmore_residual"]
-        ),
-        make_check(
-            "csl_willmore_agreement",
-            np.abs(maps["csl_willmore_residual"] - 2.0 * maps["csl_willmore_direct"]),
-            tol["csl_willmore_agreement"],
-        ),
-        make_check("obstruction_trace", maps["obstruction_trace"], tol["obstruction_trace"]),
-        # Consistency with the classification theorem: wherever the
-        # Willmore-Legendrian residual is tiny, |H| must be tiny too.  Points
-        # where it is not are skipped, so a member with none left is SKIP.
-        make_check(
-            "willmore_implies_minimal",
-            maps["norm_H"],
-            tol["willmore_implies_minimal"],
-            used_mask=maps["willmore_legendrian_residual"] < 1e-6,
-        ),
-    ]
+    checks = tuple(row.evaluate(maps, tolerance_scale) for row in checks_in("grid"))
     xs, ys = sample_points(spec, n_sample, seed)
     suite = identity_suite(
         spec, (xs, ys), tolerance_scale=tolerance_scale, reeb_sign=reeb_sign
@@ -591,5 +612,5 @@ def run_verification(
     return ResidualReport(
         surface=spec.label,
         descriptor=f"{nx}x{ny} half-offset grid; {n_sample} seeded points (seed {seed})",
-        checks=tuple(checks) + suite.checks,
+        checks=checks + suite.checks,
     )

@@ -2,9 +2,9 @@
 
 Each surface is described by an immutable ``ImmersionSpec`` (family name,
 parameter table, chart rectangle, periodicity flags) and evaluated through
-``evaluate_jet``, which returns the three complex components of F as jets of
-the chart variables.  All chart derivatives used anywhere in the toolkit
-originate here, exactly, via jet arithmetic.
+``evaluate_jet_batch``, which returns the three complex components of F as
+jets of the chart variables.  All chart derivatives used anywhere in the
+toolkit originate here, exactly, via jet arithmetic.
 
 Families:
 
@@ -59,7 +59,7 @@ from .jets import Jet2
 
 TWO_PI = 2.0 * math.pi
 
-#: Unit-norm gate applied by evaluate_jet to every evaluated point.
+#: Unit-norm gate applied by evaluate_jet_batch to every evaluated point.
 SPHERE_TOL = 1e-10
 
 #: Built-in parameter defaults for reproducible runs without flags.
@@ -248,25 +248,24 @@ def _expression_jets(spec: ImmersionSpec, X: Jet2, Y: Jet2):
     )
 
 
-def evaluate_jet_batch(spec: ImmersionSpec, xs, ys, degree: int, wrap: bool = True):
+def evaluate_jet_batch(spec: ImmersionSpec, xs, ys, degree: int):
     """Jets of the three components of F at a batch of chart points.
 
-    ``xs``/``ys`` are arrays of equal shape (wrap is applied here); returns a
-    tuple of three jets whose coefficient arrays share that batch shape.
-    Raises ERR_NOT_ON_SPHERE if any evaluated value leaves the unit sphere by
-    more than 1e-10, and ERR_DIVIDE_BY_ZERO_JET naming the chart point of the
-    smallest divisor if a component formula divides by zero.
+    ``xs``/``ys`` are arrays of equal shape; returns a tuple of three jets
+    whose coefficient arrays share that batch shape.  Raises ERR_NOT_ON_SPHERE
+    if any evaluated value leaves the unit sphere by more than 1e-10, and
+    ERR_DIVIDE_BY_ZERO_JET naming the chart point of the smallest divisor if
+    a component formula divides by zero.
 
-    ``wrap=False`` evaluates on the universal cover: no wrap, no domain
-    check.  Finite-difference stencils need this, because the component
-    formulas extend real-analytically to all chart values while the wrapped
-    ambient vectors may jump by a unitary phase across a period seam (the
-    flat-torus family is equivariant, not periodic, under a chart period).
+    Points are evaluated on the universal cover: no wrap, no domain check
+    (``wrap_point`` does both).  Finite-difference stencils need this, because
+    the component formulas extend real-analytically to all chart values while
+    the wrapped ambient vectors may jump by a unitary phase across a period
+    seam (the flat-torus family is equivariant, not periodic, under a chart
+    period).
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if wrap:
-        xs, ys = wrap_point(spec, xs, ys)
     X, Y = jets.lift_point(xs, ys, degree)
     try:
         if spec.kind == "calabi":
@@ -297,11 +296,6 @@ def evaluate_jet_batch(spec: ImmersionSpec, xs, ys, degree: int, wrap: bool = Tr
             f"(x, y) = ({px[worst]:.17g}, {py[worst]:.17g}) on {spec.label}"
         )
     return F
-
-
-def evaluate_jet(spec: ImmersionSpec, x: float, y: float, degree: int):
-    """Jets of F at a single chart point (periodic wrap applied first)."""
-    return evaluate_jet_batch(spec, x, y, degree)
 
 
 # -- sampling ----------------------------------------------------------------

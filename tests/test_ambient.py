@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legendrian_lab import ambient
-from legendrian_lab.errors import NotTangentError
 
 E1 = np.array([1.0, 0.0, 0.0], dtype=complex)
 
@@ -52,33 +51,6 @@ def test_apply_J_squares_to_minus_identity(v):
 def test_reeb_field_at_the_base_point():
     assert np.array_equal(ambient.reeb(E1), np.array([-1j, 0.0, 0.0]))
     assert np.array_equal(ambient.reeb(E1, sign=-1), np.array([1j, 0.0, 0.0]))
-
-
-def test_contact_form_evaluates_to_one_on_the_reeb_field():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        p = rng.normal(size=3) + 1j * rng.normal(size=3)
-        p = p / np.sqrt(ambient.real_inner(p, p))
-        assert ambient.contact_form(p, ambient.reeb(p)) == pytest.approx(1.0, abs=1e-13)
-
-
-def test_contact_form_rejects_non_tangent_vectors():
-    with pytest.raises(NotTangentError):
-        ambient.contact_form(E1, E1)  # radial direction is not tangent to S^5
-
-
-def test_tangent_decomposition_reconstructs_the_vector():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        p = rng.normal(size=3) + 1j * rng.normal(size=3)
-        p = p / np.sqrt(ambient.real_inner(p, p))
-        v = rng.normal(size=3) + 1j * rng.normal(size=3)
-        contact, reeb_part, radial = ambient.tangent_decomposition(p, v)
-        recon = contact + reeb_part + radial
-        assert np.max(np.abs(recon - v)) < 1e-13
-        # The contact part is orthogonal to both distinguished directions.
-        assert abs(ambient.real_inner(contact, p)) < 1e-13
-        assert abs(ambient.real_inner(contact, ambient.reeb(p))) < 1e-13
 
 
 def test_contact_projection_removes_the_reeb_part():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from legendrian_lab import ambient, cli, geometry, surfaces
+from legendrian_lab import ambient, cli, geometry, operators, surfaces
 
 CALABI_TWIN_EXPR = """\
 # flat-torus family written out as an expression surface
@@ -134,6 +134,59 @@ def test_tolerance_override_section_can_fail_a_check(capsys, tmp_path):
     by_name = {row["name"]: row for row in payload["checks"]}
     assert by_name["csl_residual"]["status"] == "FAIL"
     assert by_name["csl_residual"]["tolerance"] == 1e-30
+
+
+def test_one_override_sets_both_legendrian_defect_rows(capsys, tmp_path):
+    cfg = tmp_path / "strict.cfg"
+    cfg.write_text("[tolerances]\nlegendrian_defect = 1e-30\n")
+    rc, payload = _run_json(
+        capsys,
+        ["verify", "--surface", "calabi", "--grid", "8x8", "--config", str(cfg), "--format", "json"],
+    )
+    assert rc == 1
+    rows = [row for row in payload["checks"] if row["name"] == "legendrian_defect"]
+    assert [(row["tolerance"], row["status"]) for row in rows] == [(1e-30, "FAIL")] * 2
+    assert payload["aggregates"]["n_failed"] == 2
+
+
+def test_unknown_tolerance_name_is_a_configuration_error(capsys, tmp_path):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("[tolerances]\ncsl_residul = 1e-30\n")
+    rc = cli.main(["verify", "--surface", "calabi", "--grid", "8x8", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "ERR_VALIDATION" in captured.err and "csl_residul" in captured.err
+    assert captured.out == ""
+
+
+def test_every_registry_name_is_a_valid_override_for_every_command(capsys, tmp_path):
+    # One config file serves all four commands, and each applies its rows'
+    # overrides, mixed-case names such as norm_H_sq included.
+    cfg = tmp_path / "all.cfg"
+    names = sorted({row.name for row in operators.CHECKS})
+    cfg.write_text("[tolerances]\n" + "".join(f"{name} = 1e-30\n" for name in names))
+    for argv in (
+        ["verify", "--surface", "calabi", "--grid", "6x6"],
+        ["classify", "--surface", "calabi", "--grid", "6x6"],
+        ["table", "--surface", "calabi", "--grid", "6x6"],
+        ["energy", "--surface", "calabi", "--grid", "8x8"],
+    ):
+        _, payload = _run_json(capsys, argv + ["--config", str(cfg), "--format", "json"])
+        assert {row["tolerance"] for row in payload["checks"]} == {1e-30}, argv
+
+
+def test_classify_labels_and_thresholds(capsys):
+    rc, payload = _run_json(
+        capsys, ["classify", "--surface", "calabi", "--grid", "6x6", "--format", "json"]
+    )
+    assert rc == 0
+    assert [(row["name"], row["tolerance"]) for row in payload["checks"]] == [
+        ("legendrian", 1e-10),
+        ("minimal", 1e-8),
+        ("csl", 1e-7),
+        ("willmore_legendrian", 1e-8),
+        ("csl_willmore", 1e-5),
+    ]
 
 
 def test_syntax_error_in_expression_file(capsys, tmp_path):

@@ -75,8 +75,8 @@ def test_mironov_first_coordinate_expression_matches_the_builtin():
     rng = np.random.default_rng(2)
     for _ in range(20):
         x, y = rng.uniform(0.1, 6.0, size=2)
-        X, Y = jets.lift_point(float(x), float(y), 2)
-        built_in = surfaces.evaluate_jet(spec, float(x), float(y), 2)[0]
+        X, Y = jets.lift_point([x], [y], 2)
+        built_in = surfaces.evaluate_jet_batch(spec, [x], [y], 2)[0]
         expr = exprlang.eval_jet(ast, X, Y, params)
         assert np.max(np.abs(expr.coeffs - built_in.coeffs)) < 1e-13
 

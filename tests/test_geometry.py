@@ -50,10 +50,10 @@ def test_first_fundamental_closed_forms():
 
 
 def test_legendrian_defect_detects_scaling_and_twisting():
-    F = surfaces.evaluate_jet(CALABI, 0.3, 0.7, 2)
-    assert geometry.legendrian_defect(F) < 1e-13
+    F = surfaces.evaluate_jet_batch(CALABI, [0.3], [0.7], 2)
+    assert geometry.legendrian_defect(F)[0] < 1e-13
     scaled = [c * 1.01 for c in F]
-    assert geometry.legendrian_defect(scaled) == pytest.approx(0.0201, abs=1e-12)
+    assert geometry.legendrian_defect(scaled)[0] == pytest.approx(0.0201, abs=1e-12)
 
     # Multiplying the first coordinate by exp(i*x*y) keeps |F| = 1 but breaks
     # the Legendrian condition at generic points.
@@ -67,8 +67,8 @@ def test_legendrian_defect_detects_scaling_and_twisting():
         DOM,
         periodic=(False, False),
     )
-    Ft = surfaces.evaluate_jet(twisted, 1.0, 1.3, 2)
-    assert geometry.legendrian_defect(Ft) > 0.1
+    Ft = surfaces.evaluate_jet_batch(twisted, [1.0], [1.3], 2)
+    assert geometry.legendrian_defect(Ft)[0] > 0.1
 
 
 def test_frames_match_the_flat_torus_normalization():

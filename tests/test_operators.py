@@ -344,6 +344,64 @@ def test_run_verification_bundles_grid_and_identity_checks():
         assert check.max_residual >= check.rms_residual >= 0.0
 
 
+#: The ordered (name, tolerance) rows of run_verification: the grid rows, then
+#: the identity suite.  legendrian_defect is in both, at 1e-10 and at 1e-11.
+VERIFY_ROWS = [
+    ("legendrian_defect", 1e-10),
+    ("csl_residual", 1e-7),
+    ("csl_willmore_residual", 1e-5),
+    ("csl_willmore_agreement", 1e-4),
+    ("obstruction_trace", 1e-6),
+    ("willmore_implies_minimal", 1e-6),
+    ("legendrian_defect", 1e-11),
+    ("tri_symmetry", 1e-11),
+    ("reeb_normal", 1e-11),
+    ("gauss_claim", 1e-10),
+    ("gauss_vs_brioschi", 1e-7),
+    ("gauss_vs_brioschi_fd", 1e-7),
+    ("ricci_identity", 1e-5),
+    ("normal_laplacian", 1e-4),
+    ("div_jb_identity", 1e-5),
+    ("bochner", 1e-5),
+    ("log_h_curvature", 1e-5),
+    ("four_symmetry", 1e-6),
+    ("closedness", 1e-6),
+    ("sasakian_reeb", 1e-6),
+    ("sasakian_J", 1e-6),
+]
+
+
+@pytest.mark.parametrize("name", ["calabi", "control"])
+def test_run_verification_rows_names_tolerances_and_statuses(name):
+    # On the non-csL control exactly the csL family fails and the csL-gated
+    # identities skip; willmore_implies_minimal skips on both (non-minimal).
+    spec = CALABI if name == "calabi" else CONTROL
+    failed, skipped = set(), {"willmore_implies_minimal"}
+    if name == "control":
+        failed = {"csl_residual", "csl_willmore_residual", "obstruction_trace"}
+        skipped |= {"bochner", "log_h_curvature"}
+    report = operators.run_verification(spec, nx=8, ny=8, n_sample=25)
+    expected = [
+        (check, tol, "FAIL" if check in failed else "SKIP" if check in skipped else "PASS")
+        for check, tol in VERIFY_ROWS
+    ]
+    assert [(c.name, c.tolerance, c.status) for c in report.checks] == expected
+
+
+def test_masked_out_rows_do_not_compute_their_residual(monkeypatch):
+    # On the non-csL control the csL-gated rows select no point, so neither
+    # Delta|H|^2 (bochner) nor Delta log|H| (log_h_curvature) is evaluated.
+    def refuse(self):
+        raise AssertionError("residual of a masked-out row was computed")
+
+    for prop in ("laplace_norm_H_sq", "laplace_log_H"):
+        monkeypatch.setattr(geometry.ChartFrame, prop, property(refuse))
+    report = operators.identity_suite(CONTROL, surfaces.sample_points(CONTROL, 10, seed=0))
+    by_name = {c.name: c for c in report.checks}
+    for name in ("bochner", "log_h_curvature"):
+        assert (by_name[name].status, by_name[name].n_skipped) == ("SKIP", 10)
+
+
 @pytest.mark.parametrize("name", ALL_MEMBERS + ("control",))
 def test_willmore_implies_minimal_skips_when_no_point_is_gated(name):
     # The check reads |H| only where the Willmore-Legendrian residual is

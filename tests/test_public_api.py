@@ -33,3 +33,36 @@ def test_modules_import_nothing_they_do_not_use():
     unused = [u for p in SOURCES if p.name != "__init__.py" for u in _unused_imports(p)]
     assert SOURCES
     assert unused == []
+
+
+#: Top-level definitions that nothing in the package calls, kept on purpose.
+UNCALLED_BY_DESIGN = {
+    "point_report": "the one-point public view of ChartFrame",
+    "eval_complex": "plain complex evaluation, the tests' oracle for eval_jet",
+    "to_source": "prints an expression back in the public grammar",
+}
+
+
+def _names_used(node: ast.AST) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
+def test_every_top_level_definition_is_used_in_the_package():
+    # A definition counts as used when another top-level statement of any
+    # module names it; __init__.py's re-exports do not count.
+    defined, uses = [], []
+    for path in SOURCES:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = getattr(node, "name", None)
+            uses.append((own, _names_used(node)))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and path.name != "__init__.py":
+                defined.append((path.name, own))
+    unused = [
+        f"{module}:{name}"
+        for module, name in defined
+        if name not in UNCALLED_BY_DESIGN
+        and not any(name in used for owner, used in uses if owner != name)
+    ]
+    assert unused == []

@@ -37,9 +37,9 @@ def test_every_member_satisfies_the_legendrian_conditions(members):
 
 def test_flat_torus_value_and_first_derivatives_at_the_origin():
     spec = surfaces.calabi(0.8, 0.6, 0.6, 0.8)
-    F = surfaces.evaluate_jet(spec, 0.0, 0.0, 1)
-    assert np.allclose([complex(c.value) for c in F], [0.48, 0.64, 0.6], atol=1e-15)
-    d_t = [complex(jets.extract_partial(c, 1, 0)) for c in F]
+    F = surfaces.evaluate_jet_batch(spec, [0.0], [0.0], 1)
+    assert np.allclose([complex(c.value[0]) for c in F], [0.48, 0.64, 0.6], atol=1e-15)
+    d_t = [complex(jets.extract_partial(c, 1, 0)[0]) for c in F]
     assert np.allclose(d_t, [0.36j, 0.48j, -0.8j], atol=1e-15)
 
 
@@ -66,7 +66,7 @@ def test_minimal_members_have_vanishing_mean_curvature(members):
 def test_geodesic_sphere_is_totally_geodesic():
     spec = surfaces.geodesic_sphere()
     assert np.allclose(
-        [complex(c.value) for c in surfaces.evaluate_jet(spec, 0.0, 0.0, 0)],
+        [complex(c.value[0]) for c in surfaces.evaluate_jet_batch(spec, [0.0], [0.0], 0)],
         [1.0, 0.0, 0.0],
         atol=1e-15,
     )
@@ -103,14 +103,14 @@ def test_surface_by_name_fills_documented_defaults():
 def test_expression_surfaces_are_gated_at_evaluation_time():
     off = surfaces.from_expression(("1.1", "0", "0"), {}, DOM)
     with pytest.raises(NotOnSphereError):
-        surfaces.evaluate_jet(off, 0.5, 0.5, 2)
+        surfaces.evaluate_jet_batch(off, [0.5], [0.5], 2)
     # The error names the chart point where |F| is farthest from 1.
     squashed = surfaces.from_expression(("1.1*cos(x)", "sin(x)", "0"), {}, DOM)
     with pytest.raises(NotOnSphereError, match=r"\(x, y\) = \(0, 0\.5\)"):
         surfaces.evaluate_jet_batch(squashed, [0.5 * math.pi, 0.0, 1.0], [0.25, 0.5, 0.75], 1)
     # A constant point on the sphere is fine to evaluate but has no metric.
     degenerate = surfaces.from_expression(("1", "0", "0"), {}, DOM)
-    surfaces.evaluate_jet(degenerate, 0.5, 0.5, 2)
+    surfaces.evaluate_jet_batch(degenerate, [0.5], [0.5], 2)
 
 
 def test_division_by_zero_names_the_chart_point():
@@ -126,11 +126,14 @@ def test_division_by_zero_names_the_chart_point():
 def test_periodic_wrap_is_bitwise_exact():
     # Representable shifts: for x a multiple of 2^-50 small enough that
     # x + fl(2*pi) is exact, the wrapped evaluation must agree bit for bit.
+    def wrapped(spec, x, y):
+        return surfaces.evaluate_jet_batch(spec, *surfaces.wrap_point(spec, x, y), 3)
+
     for spec in (surfaces.calabi(0.8, 0.6, 0.6, 0.8), surfaces.mironov(1, 2, 1)):
         for x0 in (0.5, 1.0, 1.25):
-            a = surfaces.evaluate_jet(spec, x0, 0.75, 3)
-            b = surfaces.evaluate_jet(spec, x0 + TWO_PI, 0.75, 3)
-            c = surfaces.evaluate_jet(spec, x0, 0.75 + TWO_PI, 3)
+            a = wrapped(spec, x0, 0.75)
+            b = wrapped(spec, x0 + TWO_PI, 0.75)
+            c = wrapped(spec, x0, 0.75 + TWO_PI)
             for u, v, w in zip(a, b, c):
                 assert np.array_equal(u.coeffs, v.coeffs)
                 assert np.array_equal(u.coeffs, w.coeffs)
