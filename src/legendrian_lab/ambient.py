@@ -23,55 +23,63 @@ where the second identity uses the contact-extended endomorphism
 direction, so it does not restrict to the sphere).
 
 Vectors are numpy arrays of shape ``(3,)`` (complex); every function also
-accepts stacked arrays of shape ``(3, ...)`` and maps over the trailing axes.
+accepts stacked arrays of shape ``(3, ...)`` and maps over the trailing axes,
+and jet-vectors (tuples of three ``Jet2``), for which pairings return a jet:
+so jets differentiate this very algebra, as the Sasakian checks do.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .jets import Jet2
 
-def hermitian_inner(u: np.ndarray, v: np.ndarray) -> complex | np.ndarray:
+
+def _componentwise(f, *vectors):
+    """``f`` on the stacked arrays, or per component of jet-vectors."""
+    if isinstance(vectors[0][0], Jet2):
+        return tuple(f(*parts) for parts in zip(*vectors))
+    return f(*(np.asarray(v) for v in vectors))
+
+
+def hermitian_inner(u, v) -> complex | np.ndarray | Jet2:
     """Hermitian product sum_k u_k * conj(v_k) (linear in the first slot)."""
-    u = np.asarray(u)
-    v = np.asarray(v)
-    return np.sum(u * np.conj(v), axis=0)
+    if isinstance(u[0], Jet2):
+        (u0, u1, u2), (v0, v1, v2) = u, v
+        return u0 * v0.conjugate() + u1 * v1.conjugate() + u2 * v2.conjugate()
+    return np.sum(np.asarray(u) * np.conj(v), axis=0)
 
 
-def real_inner(u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
+def real_inner(u, v) -> float | np.ndarray | Jet2:
     """Real part of the hermitian product: the flat metric on R^6."""
-    return np.real(hermitian_inner(u, v))
+    h = hermitian_inner(u, v)
+    return h.real_part() if isinstance(h, Jet2) else np.real(h)
 
 
-def apply_J(v: np.ndarray) -> np.ndarray:
+def apply_J(v) -> np.ndarray | tuple[Jet2, ...]:
     """Multiplication by the imaginary unit, componentwise."""
-    return 1j * np.asarray(v)
+    return _componentwise(lambda c: 1j * c, v)
 
 
-def reeb(p: np.ndarray, sign: int = 1) -> np.ndarray:
-    """Reeb field R(p) = -i p (``sign=-1`` selects the opposite convention).
-
-    Both sign conventions appear in the literature; the default matches the
-    moving frame used by the catalog surfaces (see the ``reeb_sign`` run
-    option).
-    """
-    return (-1j * sign) * np.asarray(p)
+def reeb(p) -> np.ndarray | tuple[Jet2, ...]:
+    """Reeb field R(p) = -i p, the convention of the catalog's moving frames."""
+    return _componentwise(lambda c: -1j * c, p)
 
 
-def contact_projection(p: np.ndarray, v: np.ndarray, sign: int = 1) -> np.ndarray:
+def contact_projection(p, v) -> np.ndarray | tuple[Jet2, ...]:
     """Component of a tangent vector in the contact hyperplane.
 
     Assumes v is tangent at p; returns v - alpha(v) * R(p).
     """
-    r = reeb(p, sign)
-    return v - real_inner(v, r) * r
+    r = reeb(p)
+    alpha = real_inner(v, r)
+    return _componentwise(lambda vk, rk: vk - alpha * rk, v, r)
 
 
-def contact_extended_J(p: np.ndarray, v: np.ndarray, sign: int = 1) -> np.ndarray:
+def contact_extended_J(p, v) -> np.ndarray | tuple[Jet2, ...]:
     """Sasakian endomorphism: J on the contact plane, zero on the Reeb line.
 
     For tangent v this is J(v - alpha(v) R); unlike plain multiplication by i
     it maps tangent vectors to tangent vectors (J R is radial).
     """
-    return apply_J(contact_projection(p, v, sign))
-
+    return apply_J(contact_projection(p, v))

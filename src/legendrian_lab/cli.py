@@ -12,7 +12,8 @@ classify  labels the surface (Legendrian / minimal / csL / Willmore-Legendrian
           / csL-Willmore) from grid-max residuals against printed thresholds.
 
 Configuration is flag-driven, optionally seeded from a flat ``key = value``
-file with ``[section]`` headers (see README).  Flags override file values.
+file with ``[section]`` headers (see README); ``#`` starts a comment, and an
+unknown section, key or surface parameter exits 2.  Flags override file values.
 The environment variable LEGLAB_TOLERANCE_SCALE multiplies every tolerance.
 JSON output (--format json) is byte-deterministic for a fixed configuration.
 
@@ -55,16 +56,15 @@ class RunConfig:
     workers: int = 1
     tolerance_scale: float = 1.0
     tolerance_overrides: dict[str, float] = field(default_factory=dict)
-    reeb_sign: int = 1
 
 
 def _parse_flat_config(text: str, origin: str) -> dict[str, dict[str, str]]:
-    """Parse the flat ``key = value`` format with ``[section]`` headers."""
+    """Parse ``key = value`` lines under ``[section]`` headers; ``#`` starts a comment."""
     sections: dict[str, dict[str, str]] = {"": {}}
     current = ""
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
@@ -185,6 +185,32 @@ def load_expression_surface(path: str) -> ImmersionSpec:
 
 _DEFAULT_GRIDS = {"verify": (16, 16), "table": (32, 32), "energy": (64, 64), "classify": (16, 16)}
 
+#: The sections of a --config file and the keys each may hold.  None leaves
+#: the keys to the section's reader: [surface] keys depend on the surface
+#: kind, and [tolerances] keys are check names.
+_CONFIG_SECTIONS = {
+    "surface": None,
+    "grid": ("nx", "ny"),
+    "run": ("seed", "workers", "format"),
+    "tolerances": None,
+}
+
+
+def _check_config_layout(file_cfg: dict[str, dict[str, str]], origin: str) -> None:
+    """Reject a section or key that no command reads, naming it."""
+    for section, body in file_cfg.items():
+        if section and section not in _CONFIG_SECTIONS:
+            expected = ", ".join(_CONFIG_SECTIONS)
+            raise ValidationError(f"{origin}: unknown section [{section}] (expected {expected})")
+        allowed = _CONFIG_SECTIONS.get(section, ())
+        for key in body:
+            if allowed is not None and key not in allowed:
+                if not section:
+                    raise ValidationError(f"{origin}: {key}: key before the first [section]")
+                raise ValidationError(
+                    f"{origin}: [{section}] {key}: unknown key (expected {', '.join(allowed)})"
+                )
+
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     """Merge CLI flags over the optional config file into a RunConfig."""
@@ -192,6 +218,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             file_cfg = _parse_flat_config(fh.read(), args.config)
+        _check_config_layout(file_cfg, args.config)
     surface_cfg = file_cfg.get("surface", {})
     run_cfg = file_cfg.get("run", {})
     grid_cfg = file_cfg.get("grid", {})
@@ -199,9 +226,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
     if args.expr_file and args.surface:
         raise ValidationError("--surface and --expr-file are mutually exclusive")
+    expression = args.expr_file or (surface_cfg.get("kind") == "expression" and not args.surface)
+    if expression and args.params:
+        raise ValidationError(
+            "--params does not apply to an expression surface: set its parameters in its definition"
+        )
     if args.expr_file:
         spec = load_expression_surface(args.expr_file)
-    elif surface_cfg.get("kind") == "expression" and not args.surface:
+    elif expression:
         flat = {k: v for k, v in surface_cfg.items() if k != "kind"}
         spec = _expression_spec_from(flat, args.config, label="expression(config)")
     else:
@@ -240,6 +272,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise ValidationError(f"[tolerances] {name} must be positive and finite once scaled")
 
     seed = args.seed if args.seed is not None else _parse_int(run_cfg.get("seed", "0"), "[run] seed")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     workers = (
         args.workers
         if args.workers is not None
@@ -250,9 +284,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     fmt = args.format or run_cfg.get("format", "text")
     if fmt not in ("text", "json"):
         raise ValidationError(f"format must be text or json, got {fmt!r}")
-    reeb_sign = _parse_int(run_cfg.get("reeb_sign", "1"), "[run] reeb_sign")
-    if reeb_sign not in (1, -1):
-        raise ValidationError("[run] reeb_sign must be 1 or -1")
     return RunConfig(
         command=args.command,
         spec=spec,
@@ -263,7 +294,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         workers=workers,
         tolerance_scale=scale,
         tolerance_overrides=overrides,
-        reeb_sign=reeb_sign,
     )
 
 
@@ -367,7 +397,6 @@ def cmd_verify(config: RunConfig) -> int:
         seed=config.seed,
         workers=config.workers,
         tolerance_scale=config.tolerance_scale,
-        reeb_sign=config.reeb_sign,
     )
     checks = _apply_overrides(report.checks, config.tolerance_overrides, config.tolerance_scale)
     payload = _base_payload(config)
@@ -630,10 +659,7 @@ def main(argv=None) -> int:
     try:
         config = build_config(args)
         return _DISPATCH[args.command](config)
-    except LabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (LabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -44,7 +44,8 @@ DET_TOL = 1e-12
 
 
 # -- jet-vector helpers ------------------------------------------------------
-# An ambient vector field along the surface is a tuple of three Jet2.
+# An ambient vector field along the surface is a tuple of three Jet2, a
+# jet-vector; ``ambient``'s pairings and J accept it as they are.
 
 
 def jv_dx(F):
@@ -53,23 +54,6 @@ def jv_dx(F):
 
 def jv_dy(F):
     return tuple(f.dy() for f in F)
-
-
-def jv_J(F):
-    return tuple(f * 1j for f in F)
-
-
-def jherm(U, V) -> Jet2:
-    """Jet of the hermitian product <U, V> (valid: chart variables are real)."""
-    acc = U[0] * V[0].conjugate()
-    for u, v in zip(U[1:], V[1:]):
-        acc = acc + u * v.conjugate()
-    return acc
-
-
-def jreal(U, V) -> Jet2:
-    """Jet of real_inner(U, V)."""
-    return jherm(U, V).real_part()
 
 
 def values(F) -> np.ndarray:
@@ -272,7 +256,7 @@ class ChartFrame:
     def gj(self):
         """Metric jets gj[i][j], degree-1 lower than F."""
         Fi = (self.Fx, self.Fy)
-        return [[jreal(Fi[i], Fi[j]) for j in range(2)] for i in range(2)]
+        return [[ambient.real_inner(Fi[i], Fi[j]) for j in range(2)] for i in range(2)]
 
     @cached_property
     def det_j(self) -> Jet2:
@@ -390,7 +374,7 @@ class ChartFrame:
 
     @cached_property
     def JH_j(self):
-        return jv_J(self.H_j)
+        return ambient.apply_J(self.H_j)
 
     @cached_property
     def JH(self) -> np.ndarray:
@@ -398,7 +382,7 @@ class ChartFrame:
 
     @cached_property
     def norm_H_sq_j(self) -> Jet2:
-        return jreal(self.H_j, self.H_j)
+        return ambient.real_inner(self.H_j, self.H_j)
 
     @cached_property
     def norm_H_sq(self) -> np.ndarray:
@@ -444,7 +428,7 @@ class ChartFrame:
     def omega_j(self):
         """Jets of the one-form omega_i = real_inner(JH, F_i)."""
         Fi = (self.Fx, self.Fy)
-        return [jreal(self.JH_j, Fi[i]) for i in range(2)]
+        return [ambient.real_inner(self.JH_j, Fi[i]) for i in range(2)]
 
     @cached_property
     def d_omega(self) -> np.ndarray:
@@ -535,9 +519,9 @@ class ChartFrame:
     @cached_property
     def sigma_chart_j(self):
         """Jets of sigma_ijk = real_inner(B_ij, J F_k) in chart indices."""
-        Fi = (self.Fx, self.Fy)
+        JF = [ambient.apply_J(F) for F in (self.Fx, self.Fy)]
         return [
-            [[jreal(self.B_j[i][j], jv_J(Fi[k])) for k in range(2)] for j in range(2)]
+            [[ambient.real_inner(self.B_j[i][j], JF[k]) for k in range(2)] for j in range(2)]
             for i in range(2)
         ]
 
@@ -565,7 +549,7 @@ class ChartFrame:
     @cached_property
     def div_JB_JH_JH(self) -> np.ndarray:
         """Div(J B(JH, JH)) of the tangential part."""
-        return self._div_field(jv_J(self.B_JH_JH_j))
+        return self._div_field(ambient.apply_J(self.B_JH_JH_j))
 
     @cached_property
     def willmore_j(self):
@@ -658,11 +642,11 @@ class ChartFrame:
 
     def _tangent_j(self, V):
         """Chart components g^{ij} real_inner(V, F_j) of an ambient jet-vector V."""
-        return self._raise_j([jreal(V, Fj) for Fj in (self.Fx, self.Fy)])
+        return self._raise_j([ambient.real_inner(V, Fj) for Fj in (self.Fx, self.Fy)])
 
     def _normal_j(self, V):
         """V minus its tangential and radial parts (jet-vector)."""
-        c, r = self._tangent_j(V), jreal(V, self.F)
+        c, r = self._tangent_j(V), ambient.real_inner(V, self.F)
         return tuple(
             V[m] - c[0] * self.Fx[m] - c[1] * self.Fy[m] - r * self.F[m] for m in range(3)
         )

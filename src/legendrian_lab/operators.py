@@ -27,9 +27,9 @@ Derivative strategy (the accuracy budget everything below leans on):
 
 * Every residual and identity term comes out of the degree-5 jet chain in
   ``ChartFrame`` with no finite-difference error.  One sweep builds one frame
-  per batch of points.  (The two Sasakian checks test the ambient sphere, not
-  the surface; they differentiate along great circles with their own 4-point
-  stencil.)
+  per batch of points.  The two Sasakian checks test the ambient sphere, not
+  the surface: they lift the great-circle parameter as a degree-1 jet and
+  differentiate ``ambient``'s Reeb field and contact-extended J along it.
 
 * Finite differences are the independent cross-check, not a second engine:
   ``partial_derivative`` (4th-order central differences with step
@@ -58,15 +58,14 @@ import os
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import permutations
 from operator import itemgetter
 
 import numpy as np
 
-from . import ambient
+from . import ambient, jets
 from .errors import GridError, StencilOutOfDomainError
-from .geometry import ChartFrame, brioschi, legendrian_defect
+from .geometry import ChartFrame, brioschi, jv_dx, legendrian_defect, values
 from .surfaces import ImmersionSpec, grid_points, sample_points
 
 #: Base finite-difference step scale: h = FD_H_SCALE * (1 + |coordinate|).
@@ -235,22 +234,6 @@ def brioschi_curvature_fd(spec: ImmersionSpec, xs, ys) -> np.ndarray:
 # -- identity residuals and masks ---------------------------------------------
 
 
-class _SampleFrame(ChartFrame):
-    """The identity suite's degree-5 frame, with the run's Reeb sign and the
-    two Sasakian residuals that depend on it."""
-
-    def __init__(self, spec: ImmersionSpec, xs, ys, reeb_sign: int):
-        super().__init__(spec, xs, ys, degree=5)
-        self.reeb_sign = reeb_sign
-
-    @cached_property
-    def sasakian(self) -> tuple[np.ndarray, np.ndarray]:
-        """(sasakian_reeb, sasakian_J) residuals for X = e1, Y0 = e2 + R/2 + e1/4."""
-        R = ambient.reeb(self.F_v, self.reeb_sign)
-        Y0 = self.e2 + 0.5 * R + 0.25 * self.e1
-        return _sasakian_residuals(self.F_v, self.e1, Y0, self.reeb_sign)
-
-
 def _tri_symmetry(fr) -> np.ndarray:
     """Asymmetry of the cubic form's orthonormal components."""
     sig = fr.sigma_frame
@@ -273,11 +256,15 @@ def _ricci_identity(fr) -> np.ndarray:
     return np.sqrt(np.einsum("ij...,i...,j...->...", fr.g, ricci, ricci))
 
 
+def _norm(v) -> np.ndarray:
+    """Per-point Euclidean norm of a stacked ambient vector."""
+    return np.sqrt(np.sum(np.abs(v) ** 2, axis=0))
+
+
 def _normal_laplacian(fr) -> np.ndarray:
     R = ambient.reeb(fr.F_v)
     lap_JH_amb = fr.laplace_JH[0] * fr.Fx_v + fr.laplace_JH[1] * fr.Fy_v
-    nl = fr.normal_laplacian_H + ambient.apply_J(lap_JH_amb) + fr.H + 2.0 * fr.div_JH * R
-    return np.sqrt(np.sum(np.abs(nl) ** 2, axis=0))
+    return _norm(fr.normal_laplacian_H + ambient.apply_J(lap_JH_amb) + fr.H + 2.0 * fr.div_JH * R)
 
 
 def _div_jb_identity(fr) -> np.ndarray:
@@ -304,51 +291,41 @@ def _four_symmetry(fr) -> np.ndarray:
     return four
 
 
-def _sasakian_residuals(
-    p: np.ndarray, X: np.ndarray, Y0: np.ndarray, reeb_sign: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """Finite-difference residuals of the two sphere Sasakian identities.
+def _great_circle(fr):
+    """The great circle q(t) = cos(t) p + sin(t) e1 through each point p, as a
+    jet-vector of degree 1 in t at t = 0 (t rides on the jets' x slot)."""
+    zeros = np.zeros(fr.xs.size)
+    t, _ = jets.lift_point(zeros, zeros, 1)
+    cos_t, sin_t = jets.cos(t), jets.sin(t)
+    return tuple(cos_t * p + sin_t * x for p, x in zip(fr.F_v, fr.e1))
 
-    Along the great circle gamma(t) = cos(t) p + sin(t) X (X a unit tangent):
-    the projected derivative of R(gamma(t)) should equal -J_c X, and the
-    derivative of the contact-extended J applied to the projected field
-    Y(t) = Y0 - <Y0, gamma> gamma should satisfy
-    (nabla_X J_c)(Y) = <X, Y> R - alpha(Y) X.
-    """
-    h = 1e-2
-    steps = np.array([-2.0, -1.0, 1.0, 2.0]) * h
-    weights = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
 
-    def gamma(t):
-        return math.cos(t) * p + math.sin(t) * X
+def _covariant_d(p, V) -> np.ndarray:
+    """Sphere derivative at t = 0 of the jet-vector V along the great circle:
+    the exact t-derivative less its radial part at p (Gauss formula)."""
+    dV = values(jv_dx(V))
+    return dV - ambient.real_inner(dV, p) * p
 
-    def project(v):
-        return v - ambient.real_inner(v, p) * p
 
-    # identity 1: sphere derivative of the Reeb field
-    dR = sum(w * ambient.reeb(gamma(t), reeb_sign) for w, t in zip(weights, steps))
-    lhs1 = project(dR)
-    rhs1 = -ambient.contact_extended_J(p, X, reeb_sign)
-    res1 = np.sqrt(np.sum(np.abs(lhs1 - rhs1) ** 2, axis=0))
+def _sasakian_reeb(fr) -> np.ndarray:
+    """D_X R + J_c X for X = e1, with D_X R read off R along the great circle."""
+    D_R = _covariant_d(fr.F_v, ambient.reeb(_great_circle(fr)))
+    return _norm(D_R + ambient.contact_extended_J(fr.F_v, fr.e1))
 
-    # identity 2: derivative of the contact-extended J
-    def Yt(t):
-        q = gamma(t)
-        return Y0 - ambient.real_inner(Y0, q) * q
 
-    def JYt(t):
-        q = gamma(t)
-        return ambient.contact_extended_J(q, Yt(t), reeb_sign)
-
-    dJY = sum(w * JYt(t) for w, t in zip(weights, steps))
-    dY = sum(w * Yt(t) for w, t in zip(weights, steps))
-    lhs2 = project(dJY) - ambient.contact_extended_J(p, project(dY), reeb_sign)
-    Y = Yt(0.0)
-    R = ambient.reeb(p, reeb_sign)
-    alpha_Y = ambient.real_inner(Y, R)
-    rhs2 = ambient.real_inner(X, Y) * R - alpha_Y * X
-    res2 = np.sqrt(np.sum(np.abs(lhs2 - rhs2) ** 2, axis=0))
-    return res1, res2
+def _sasakian_J(fr) -> np.ndarray:
+    """(D_X J_c)(Y) - <X, Y> R + alpha(Y) X for X = e1 and the tangent field
+    Y(t) = Y0 - <Y0, q> q along the great circle, Y0 = e2 + R/2 + e1/4."""
+    p, X = fr.F_v, fr.e1
+    R = ambient.reeb(p)
+    Y0 = fr.e2 + 0.5 * R + 0.25 * X
+    q = _great_circle(fr)
+    a = ambient.real_inner(q, Y0)
+    Y = tuple(-(a * qk) + y0 for qk, y0 in zip(q, Y0))  # Jet2 first: ndarray - Jet2 misbroadcasts
+    D_JY = _covariant_d(p, ambient.contact_extended_J(q, Y))
+    lhs = D_JY - ambient.contact_extended_J(p, _covariant_d(p, Y))
+    Y_p = values(Y)
+    return _norm(lhs - ambient.real_inner(X, Y_p) * R + ambient.real_inner(Y_p, R) * X)
 
 
 def _csl_gated(fr) -> np.ndarray:
@@ -434,12 +411,12 @@ CHECKS = (
     Check("closedness", "identity", 1e-6,
           "closedness of the one-form dual to JH",
           lambda fr: np.abs(fr.d_omega[0, 1] - fr.d_omega[1, 0])),
-    Check("sasakian_reeb", "identity", 1e-6,
+    Check("sasakian_reeb", "identity", 1e-11,
           "sphere covariant derivative of the Reeb field equals -J X",
-          lambda fr: fr.sasakian[0]),
-    Check("sasakian_J", "identity", 1e-6,
+          _sasakian_reeb),
+    Check("sasakian_J", "identity", 1e-11,
           "(nabla_X J)(Y) = <X,Y> R - alpha(Y) X on the sphere",
-          lambda fr: fr.sasakian[1]),
+          _sasakian_J),
     # classify: grid maxima as yes/no verdicts.
     Check("legendrian", "classify", 1e-10,
           "grid-max Legendrian defect", itemgetter("legendrian_defect")),
@@ -481,7 +458,6 @@ def identity_suite(
     spec: ImmersionSpec,
     points,
     tolerance_scale: float = 1.0,
-    reeb_sign: int = 1,
 ) -> ResidualReport:
     """Verify the pointwise identity web at the given chart points.
 
@@ -490,7 +466,7 @@ def identity_suite(
     csL-only identities) are counted as skipped, never silently dropped.
     """
     xs, ys = (np.asarray(a, dtype=float) for a in points)
-    fr = _SampleFrame(spec, xs, ys, reeb_sign)
+    fr = ChartFrame(spec, xs, ys, degree=5)
     return ResidualReport(
         surface=spec.label,
         descriptor=f"{xs.size} seeded interior points",
@@ -600,15 +576,12 @@ def run_verification(
     n_sample: int = 100,
     workers: int = 1,
     tolerance_scale: float = 1.0,
-    reeb_sign: int = 1,
 ) -> ResidualReport:
     """The grid rows on the grid maps, then the identity suite, as one report."""
     maps = grid_residuals(spec, nx, ny, workers=workers)
     checks = tuple(row.evaluate(maps, tolerance_scale) for row in checks_in("grid"))
     xs, ys = sample_points(spec, n_sample, seed)
-    suite = identity_suite(
-        spec, (xs, ys), tolerance_scale=tolerance_scale, reeb_sign=reeb_sign
-    )
+    suite = identity_suite(spec, (xs, ys), tolerance_scale=tolerance_scale)
     return ResidualReport(
         surface=spec.label,
         descriptor=f"{nx}x{ny} half-offset grid; {n_sample} seeded points (seed {seed})",

@@ -54,6 +54,7 @@ from .errors import (
     NotOnSphereError,
     ParamConstraintError,
     UnsupportedSurfaceError,
+    ValidationError,
 )
 from .jets import Jet2
 
@@ -160,18 +161,25 @@ def from_expression(
 
 
 def surface_by_name(kind: str, params: dict[str, float] | None = None) -> ImmersionSpec:
-    """Construct a catalog surface by family name, filling default parameters."""
-    merged = dict(DEFAULT_PARAMS.get(kind, {}))
+    """Construct a catalog surface by family name, filling default parameters.
+
+    A parameter the family does not have is an error, never dropped.
+    """
+    if kind not in DEFAULT_PARAMS:
+        raise UnsupportedSurfaceError(
+            f"unknown surface family {kind!r} (expected calabi, mironov, geodesic_sphere)"
+        )
+    merged = dict(DEFAULT_PARAMS[kind])
+    unknown = sorted(set(params or {}) - set(merged))
+    if unknown:
+        expected = ", ".join(merged) or "none"
+        raise ValidationError(f"{kind} has no parameter {unknown[0]!r} (expected: {expected})")
     merged.update(params or {})
     if kind == "calabi":
         return calabi(merged["r1"], merged["r2"], merged["r3"], merged["r4"])
     if kind == "mironov":
         return mironov(merged["a"], merged["b"], merged["c"])
-    if kind == "geodesic_sphere":
-        return geodesic_sphere()
-    raise UnsupportedSurfaceError(
-        f"unknown surface family {kind!r} (expected calabi, mironov, geodesic_sphere)"
-    )
+    return geodesic_sphere()
 
 
 # -- chart handling ----------------------------------------------------------

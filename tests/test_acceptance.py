@@ -30,8 +30,8 @@ PINNED_IDENTITY_TOLERANCES = {
     "div_jb_identity": 1e-5,
     "bochner": 1e-5,
     "log_h_curvature": 1e-5,
-    "sasakian_reeb": 1e-6,
-    "sasakian_J": 1e-6,
+    "sasakian_reeb": 1e-11,
+    "sasakian_J": 1e-11,
     "closedness": 1e-6,
 }
 

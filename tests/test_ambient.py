@@ -50,7 +50,6 @@ def test_apply_J_squares_to_minus_identity(v):
 
 def test_reeb_field_at_the_base_point():
     assert np.array_equal(ambient.reeb(E1), np.array([-1j, 0.0, 0.0]))
-    assert np.array_equal(ambient.reeb(E1, sign=-1), np.array([1j, 0.0, 0.0]))
 
 
 def test_contact_projection_removes_the_reeb_part():

@@ -2,6 +2,8 @@
 
 import json
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -416,3 +418,81 @@ def test_json_output_is_deterministic_in_process(capsys):
     assert cli.main(argv) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+def _readme_ini_blocks():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    return re.findall(r"```ini\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+
+
+def test_readme_ini_examples_run(capsys, tmp_path):
+    # The --config example and the --expr-file example, inline comments and all.
+    blocks = _readme_ini_blocks()
+    assert len(blocks) == 2
+    for n, block in enumerate(blocks):
+        path = tmp_path / f"readme_{n}.ini"
+        path.write_text(block)
+        flag = "--config" if "[surface]" in block else "--expr-file"
+        rc = cli.main(["verify", flag, str(path), "--grid", "8x8"])
+        captured = capsys.readouterr()
+        assert rc == 0, (flag, captured.err)
+
+
+def test_inline_comments_are_stripped(tmp_path):
+    text = "[run]\nseed = 3   # a comment\n# a whole-line comment\nformat=json#no space\n"
+    assert cli._parse_flat_config(text, "cfg") == {
+        "": {}, "run": {"seed": "3", "format": "json"}
+    }
+
+
+@pytest.mark.parametrize(
+    "body, named",
+    [
+        ("[run]\nreeb_sin = -1\n", "reeb_sin"),
+        ("[run]\nreeb_sign = -1\n", "reeb_sign"),
+        ("[tolerence]\ncsl_residual = 1e-9\n", "[tolerence]"),
+        ("[grid]\nnx = 8\nnz = 8\n", "nz"),
+        ("seed = 3\n[run]\nworkers = 1\n", "seed"),
+    ],
+)
+def test_unknown_config_sections_and_keys_are_configuration_errors(capsys, tmp_path, body, named):
+    cfg = tmp_path / "unknown.cfg"
+    cfg.write_text(body)
+    rc = cli.main(["verify", "--surface", "calabi", "--grid", "6x6", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "ERR_VALIDATION" in captured.err and named in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--surface", "calabi", "--params", "r9=1"], "r9"),
+        (["--surface", "mironov", "--params", "a=1,b=2,c=1,d=5"], "'d'"),
+        (["--surface", "geodesic_sphere", "--params", "a=1"], "'a'"),
+        (["--expr-file", "TWIN", "--params", "r1=0.5"], "--params"),
+        (["--config", "CFG"], "r9"),
+    ],
+)
+def test_unknown_surface_parameters_are_configuration_errors(capsys, tmp_path, argv, named):
+    files = {"TWIN": tmp_path / "calabi.expr", "CFG": tmp_path / "params.cfg"}
+    files["TWIN"].write_text(CALABI_TWIN_EXPR)
+    files["CFG"].write_text("[surface]\nkind = calabi\nparams = r1=0.8, r9=1\n")
+    argv = [str(files[a]) if a in files else a for a in argv]
+    rc = cli.main(["verify", "--grid", "6x6"] + argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "ERR_VALIDATION" in captured.err and named in captured.err
+    assert captured.out == ""
+
+
+def test_negative_seed_is_a_configuration_error(capsys, tmp_path):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("[run]\nseed = -1\n")
+    for argv in (["--seed", "-1"], ["--config", str(cfg)]):
+        rc = cli.main(["verify", "--surface", "calabi", "--grid", "6x6"] + argv)
+        captured = capsys.readouterr()
+        assert rc == 2, argv
+        assert "ERR_VALIDATION" in captured.err and "seed" in captured.err
+        assert captured.out == ""

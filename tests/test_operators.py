@@ -206,9 +206,7 @@ def test_identity_suite_passes_on_every_member(identity_reports):
 def test_identity_suite_residuals_collapse_on_the_geodesic_sphere(identity_reports):
     report = identity_reports["geodesic_sphere"]
     for check in report.checks:
-        if check.name.startswith("sasakian"):
-            assert check.max_residual < 1e-6  # ambient identities, H-independent
-        elif check.name == "log_h_curvature":
+        if check.name == "log_h_curvature":
             assert check.status == "SKIP" and check.n_skipped == 100
         else:
             assert check.max_residual < 1e-8
@@ -233,7 +231,7 @@ def test_identity_suite_handles_stencils_across_the_chart_seam():
     report = operators.identity_suite(CALABI, (xs, ys))
     by_name = {c.name: c for c in report.checks}
     assert by_name["normal_laplacian"].max_residual < 1e-4
-    assert by_name["sasakian_J"].max_residual < 1e-6
+    assert by_name["sasakian_J"].max_residual <= 1e-15
     assert report.all_pass
 
 
@@ -366,8 +364,8 @@ VERIFY_ROWS = [
     ("log_h_curvature", 1e-5),
     ("four_symmetry", 1e-6),
     ("closedness", 1e-6),
-    ("sasakian_reeb", 1e-6),
-    ("sasakian_J", 1e-6),
+    ("sasakian_reeb", 1e-11),
+    ("sasakian_J", 1e-11),
 ]
 
 
@@ -386,6 +384,36 @@ def test_run_verification_rows_names_tolerances_and_statuses(name):
         for check, tol in VERIFY_ROWS
     ]
     assert [(c.name, c.tolerance, c.status) for c in report.checks] == expected
+
+
+def test_sasakian_rows_are_jet_exact_on_every_member(identity_reports):
+    # Jets differentiate along the great circle exactly, so both rows sit at
+    # roundoff on the catalog and on the control (the stencil read 3e-9).
+    reports = dict(identity_reports)
+    reports["control"] = operators.identity_suite(CONTROL, surfaces.sample_points(CONTROL, 100, 0))
+    for name, report in reports.items():
+        for check in report.checks:
+            if check.name.startswith("sasakian"):
+                assert check.max_residual <= 1e-15, (name, check.name, check.max_residual)
+
+
+def test_sasakian_rows_fire_on_a_scaled_contact_J(monkeypatch):
+    # Scaling ambient.contact_extended_J by 1 + 1e-9 breaks both Sasakian
+    # identities; no other identity row reads it, so none changes status.
+    points = surfaces.sample_points(MIRONOV, 100, seed=0)
+    before = {c.name: c.status for c in operators.identity_suite(MIRONOV, points).checks}
+    contact_J = ambient.contact_extended_J
+
+    def scaled(p, v):
+        out = contact_J(p, v)
+        if isinstance(out, tuple):  # a jet-vector along the great circle
+            return tuple(c * (1.0 + 1e-9) for c in out)
+        return out * (1.0 + 1e-9)
+
+    monkeypatch.setattr(ambient, "contact_extended_J", scaled)
+    after = {c.name: c.status for c in operators.identity_suite(MIRONOV, points).checks}
+    assert before["sasakian_reeb"] == before["sasakian_J"] == "PASS"
+    assert after == {**before, "sasakian_reeb": "FAIL", "sasakian_J": "FAIL"}
 
 
 def test_masked_out_rows_do_not_compute_their_residual(monkeypatch):
