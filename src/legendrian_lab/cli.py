@@ -29,14 +29,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import ambient
 from .errors import LabError, UnsupportedSurfaceError, ValidationError
 from .geometry import ChartFrame
-from .operators import CHECKS, checks_in, grid_residuals, run_verification, willmore_energy
+from .operators import CHECKS, Check, checks_in, grid_residuals, run_verification, willmore_energy
 from .surfaces import ImmersionSpec, from_expression, grid_points, surface_by_name
 
 
@@ -45,7 +45,12 @@ from .surfaces import ImmersionSpec, from_expression, grid_points, surface_by_na
 
 @dataclass
 class RunConfig:
-    """Everything one subcommand invocation needs, flags and file merged."""
+    """Everything one subcommand invocation needs, flags and file merged.
+
+    ``checks`` is the run's registry: ``CHECKS`` with every tolerance resolved
+    to its ``[tolerances]`` override or default, times ``tolerance_scale``,
+    which is kept only to be echoed in the report.
+    """
 
     command: str
     spec: ImmersionSpec
@@ -55,11 +60,14 @@ class RunConfig:
     seed: int = 0
     workers: int = 1
     tolerance_scale: float = 1.0
-    tolerance_overrides: dict[str, float] = field(default_factory=dict)
+    checks: tuple[Check, ...] = CHECKS
 
 
 def _parse_flat_config(text: str, origin: str) -> dict[str, dict[str, str]]:
-    """Parse ``key = value`` lines under ``[section]`` headers; ``#`` starts a comment."""
+    """Parse ``key = value`` lines under ``[section]`` headers; ``#`` starts a comment.
+
+    A key repeated within a section is an error, not a silent last-one-wins.
+    """
     sections: dict[str, dict[str, str]] = {"": {}}
     current = ""
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -75,7 +83,10 @@ def _parse_flat_config(text: str, origin: str) -> dict[str, dict[str, str]]:
                 f"{origin}:{lineno}: expected 'key = value', got {line!r}"
             )
         key, value = line.split("=", 1)
-        sections[current][key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key in sections[current]:
+            raise ValidationError(f"{origin}:{lineno}: {key}: repeated key")
+        sections[current][key] = value.strip()
     return sections
 
 
@@ -186,10 +197,10 @@ def load_expression_surface(path: str) -> ImmersionSpec:
 _DEFAULT_GRIDS = {"verify": (16, 16), "table": (32, 32), "energy": (64, 64), "classify": (16, 16)}
 
 #: The sections of a --config file and the keys each may hold.  None leaves
-#: the keys to the section's reader: [surface] keys depend on the surface
-#: kind, and [tolerances] keys are check names.
+#: the keys to the section's reader: [tolerances] keys are check names, and
+#: an expression [surface] (``kind = expression``) holds its own keys.
 _CONFIG_SECTIONS = {
-    "surface": None,
+    "surface": ("kind", "params"),
     "grid": ("nx", "ny"),
     "run": ("seed", "workers", "format"),
     "tolerances": None,
@@ -203,6 +214,8 @@ def _check_config_layout(file_cfg: dict[str, dict[str, str]], origin: str) -> No
             expected = ", ".join(_CONFIG_SECTIONS)
             raise ValidationError(f"{origin}: unknown section [{section}] (expected {expected})")
         allowed = _CONFIG_SECTIONS.get(section, ())
+        if section == "surface" and body.get("kind") == "expression":
+            allowed = None
         for key in body:
             if allowed is not None and key not in allowed:
                 if not section:
@@ -245,13 +258,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
     if args.grid:
         nx, ny = _parse_grid(args.grid)
-    elif "nx" in grid_cfg or "ny" in grid_cfg:
-        nx = _parse_int(grid_cfg.get("nx", "16"), "[grid] nx")
-        ny = _parse_int(grid_cfg.get("ny", "16"), "[grid] ny")
+    else:
+        default_nx, default_ny = _DEFAULT_GRIDS[args.command]
+        nx = _parse_int(grid_cfg.get("nx", str(default_nx)), "[grid] nx")
+        ny = _parse_int(grid_cfg.get("ny", str(default_ny)), "[grid] ny")
         if nx < 4 or ny < 4:
             raise ValidationError("[grid] nx and ny must be >= 4")
-    else:
-        nx, ny = _DEFAULT_GRIDS[args.command]
 
     scale = _parse_float(tol_cfg.pop("scale", "1"), "[tolerances] scale")
     env_scale = os.environ.get("LEGLAB_TOLERANCE_SCALE")
@@ -270,6 +282,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     for name, value in overrides.items():
         if not 0.0 < value * scale < math.inf:
             raise ValidationError(f"[tolerances] {name} must be positive and finite once scaled")
+    checks = tuple(
+        dataclasses.replace(row, tolerance=overrides.get(row.name, row.tolerance) * scale)
+        for row in CHECKS
+    )
 
     seed = args.seed if args.seed is not None else _parse_int(run_cfg.get("seed", "0"), "[run] seed")
     if seed < 0:
@@ -293,34 +309,23 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         seed=seed,
         workers=workers,
         tolerance_scale=scale,
-        tolerance_overrides=overrides,
+        checks=checks,
     )
 
 
 # -- report rendering ----------------------------------------------------------
 
 
-def _apply_overrides(checks, overrides: dict[str, float], scale: float):
-    out = []
-    for c in checks:
-        if c.name in overrides:
-            tol = overrides[c.name] * scale
-            status = c.status if c.status == "SKIP" else (
-                "PASS" if c.max_residual < tol else "FAIL"
-            )
-            c = dataclasses.replace(c, tolerance=tol, status=status)
-        out.append(c)
-    return out
-
-
-def _check_rows(checks) -> list[dict]:
+def _check_rows(checks, words=None) -> list[dict]:
+    """JSON rows of check results; ``words`` renames statuses (classify's yes/no)."""
+    words = words or {}
     return [
         {
             "name": c.name,
             "paper_ref": c.description,
             "value": float(c.max_residual),
             "tolerance": float(c.tolerance),
-            "status": c.status,
+            "status": words.get(c.status, c.status),
         }
         for c in checks
     ]
@@ -396,15 +401,14 @@ def cmd_verify(config: RunConfig) -> int:
         ny=config.ny,
         seed=config.seed,
         workers=config.workers,
-        tolerance_scale=config.tolerance_scale,
+        registry=config.checks,
     )
-    checks = _apply_overrides(report.checks, config.tolerance_overrides, config.tolerance_scale)
     payload = _base_payload(config)
     payload["descriptor"] = report.descriptor
     if config.fmt == "text":
         _print_header(config)
         print(report.descriptor)
-    return _finish(checks, config, payload)
+    return _finish(report.checks, config, payload)
 
 
 @dataclass(frozen=True)
@@ -417,8 +421,18 @@ class TableRow:
     deviation: float
 
 
-def _matrix(values_2x2) -> list:
-    return [[float(values_2x2[i][j]) for j in range(2)] for i in range(2)]
+def _table_rows(entries) -> list[TableRow]:
+    """One row per (name, closed, computed), arrays whose last axis is the batch:
+    the values at point 0 and the grid-max |computed - closed|."""
+    return [
+        TableRow(
+            name,
+            closed[..., 0].tolist(),
+            computed[..., 0].tolist(),
+            float(np.max(np.abs(computed - closed))),
+        )
+        for name, closed, computed in entries
+    ]
 
 
 def _calabi_rows(spec: ImmersionSpec, nx: int, ny: int) -> list[TableRow]:
@@ -426,50 +440,21 @@ def _calabi_rows(spec: ImmersionSpec, nx: int, ny: int) -> list[TableRow]:
     r1, r2, r3, r4 = p["r1"], p["r2"], p["r3"], p["r4"]
     xs, ys = grid_points(spec, nx, ny)
     fr = ChartFrame(spec, xs, ys, degree=4)
-
-    A1 = fr.sigma_frame[:, :, 0]
-    A2 = fr.sigma_frame[:, :, 1]
-
-    g_closed = np.array([[1.0, 0.0], [0.0, r1 * r1]])
-    a1_closed = np.array([[(r2 * r2 - r1 * r1) / (r1 * r2), 0.0], [0.0, r2 / r1]])
-    a2_closed = np.array(
-        [[0.0, r2 / r1], [r2 / r1, (r4 * r4 - r3 * r3) / (r1 * r3 * r4)]]
-    )
-    mu_closed = np.array(
-        [(2.0 * r2 * r2 - r1 * r1) / (r1 * r2), (r4 * r4 - r3 * r3) / (r1 * r3 * r4)]
-    )
-    h2_closed = float(mu_closed[0] ** 2 + mu_closed[1] ** 2)
-
-    def dev(computed, closed) -> float:
-        return float(np.max(np.abs(computed - np.asarray(closed)[..., None])))
-
-    return [
-        TableRow("metric", _matrix(g_closed), _matrix(fr.g[..., 0]), dev(fr.g, g_closed)),
-        TableRow(
-            "shape_operator_nu1", _matrix(a1_closed), _matrix(A1[..., 0]), dev(A1, a1_closed)
-        ),
-        TableRow(
-            "shape_operator_nu2", _matrix(a2_closed), _matrix(A2[..., 0]), dev(A2, a2_closed)
-        ),
-        TableRow(
-            "mean_curvature_mu",
-            [float(v) for v in mu_closed],
-            [float(v) for v in fr.mu[:, 0]],
-            dev(fr.mu, mu_closed),
-        ),
-        TableRow(
-            "norm_H_sq",
-            [h2_closed],
-            [float(fr.norm_H_sq[0])],
-            float(np.max(np.abs(fr.norm_H_sq - h2_closed))),
-        ),
-        TableRow(
-            "gauss_curvature",
-            [0.0],
-            [float(fr.kappa[0])],
-            float(np.max(np.abs(fr.kappa))),
-        ),
-    ]
+    mu1 = (2.0 * r2 * r2 - r1 * r1) / (r1 * r2)
+    mu2 = (r4 * r4 - r3 * r3) / (r1 * r3 * r4)
+    # The closed forms are constant: one batch column broadcasts over the grid.
+    return _table_rows([
+        ("metric", np.array([[1.0, 0.0], [0.0, r1 * r1]])[..., None], fr.g),
+        ("shape_operator_nu1",
+         np.array([[(r2 * r2 - r1 * r1) / (r1 * r2), 0.0], [0.0, r2 / r1]])[..., None],
+         fr.sigma_frame[:, :, 0]),
+        ("shape_operator_nu2",
+         np.array([[0.0, r2 / r1], [r2 / r1, mu2]])[..., None],
+         fr.sigma_frame[:, :, 1]),
+        ("mean_curvature_mu", np.array([mu1, mu2])[..., None], fr.mu),
+        ("norm_H_sq", np.array([[mu1**2 + mu2**2]]), fr.norm_H_sq[None]),
+        ("gauss_curvature", np.zeros((1, 1)), fr.kappa[None]),
+    ])
 
 
 def _mironov_closed(params: dict[str, float], xs: np.ndarray) -> dict[str, np.ndarray]:
@@ -504,32 +489,15 @@ def _mironov_rows(spec: ImmersionSpec, nx: int, ny: int) -> list[TableRow]:
     zeros = np.zeros_like(xs)
 
     iFx, iFy = ambient.apply_J(fr.Fx_v), ambient.apply_J(fr.Fy_v)
-    A_x, A_y = fr.form(iFx), fr.form(iFy)
     h_comp = np.stack([ambient.real_inner(fr.H, iFx), ambient.real_inner(fr.H, iFy)])
-
-    g_closed = np.array([[closed["g11"], zeros], [zeros, closed["g22"]]])
-    ax_closed = np.array([[zeros, closed["w"]], [closed["w"], zeros]])
-    ay_closed = np.array([[closed["w"], zeros], [zeros, closed["a22"]]])
-    h_closed = np.stack([zeros, closed["h2"]])
-
-    def dev(computed, closed_arr) -> float:
-        return float(np.max(np.abs(computed - closed_arr)))
-
-    return [
-        TableRow("metric", _matrix(g_closed[..., 0]), _matrix(fr.g[..., 0]), dev(fr.g, g_closed)),
-        TableRow(
-            "shape_operator_iFx", _matrix(ax_closed[..., 0]), _matrix(A_x[..., 0]), dev(A_x, ax_closed)
-        ),
-        TableRow(
-            "shape_operator_iFy", _matrix(ay_closed[..., 0]), _matrix(A_y[..., 0]), dev(A_y, ay_closed)
-        ),
-        TableRow(
-            "mean_curvature_components",
-            [float(v) for v in h_closed[:, 0]],
-            [float(v) for v in h_comp[:, 0]],
-            dev(h_comp, h_closed),
-        ),
-    ]
+    return _table_rows([
+        ("metric", np.array([[closed["g11"], zeros], [zeros, closed["g22"]]]), fr.g),
+        ("shape_operator_iFx",
+         np.array([[zeros, closed["w"]], [closed["w"], zeros]]), fr.form(iFx)),
+        ("shape_operator_iFy",
+         np.array([[closed["w"], zeros], [zeros, closed["a22"]]]), fr.form(iFy)),
+        ("mean_curvature_components", np.stack([zeros, closed["h2"]]), h_comp),
+    ])
 
 
 def cmd_table(config: RunConfig) -> int:
@@ -544,11 +512,8 @@ def cmd_table(config: RunConfig) -> int:
         raise UnsupportedSurfaceError(
             f"table requires a calabi or mironov surface, got {spec.kind!r}"
         )
-    table_checks = {check.name: check for check in checks_in("table")}
-    checks = [
-        table_checks[row.name].result(row.deviation, config.tolerance_scale) for row in rows
-    ]
-    checks = _apply_overrides(checks, config.tolerance_overrides, config.tolerance_scale)
+    table_checks = {check.name: check for check in checks_in("table", config.checks)}
+    checks = [table_checks[row.name].result(row.deviation) for row in rows]
     payload = _base_payload(config)
     payload["table"] = [
         {"name": row.name, "closed_form": row.closed, "computed": row.computed}
@@ -568,10 +533,7 @@ def cmd_table(config: RunConfig) -> int:
 def cmd_energy(config: RunConfig) -> int:
     area, energy = willmore_energy(config.spec, (config.nx, config.ny))
     area2, energy2 = willmore_energy(config.spec, (2 * config.nx, 2 * config.ny))
-    checks = [
-        check.result(energy2 - energy, config.tolerance_scale) for check in checks_in("energy")
-    ]
-    checks = _apply_overrides(checks, config.tolerance_overrides, config.tolerance_scale)
+    checks = [check.result(energy2 - energy) for check in checks_in("energy", config.checks)]
     payload = _base_payload(config)
     payload["quantities"] = {
         "area": area,
@@ -589,19 +551,8 @@ def cmd_energy(config: RunConfig) -> int:
 
 def cmd_classify(config: RunConfig) -> int:
     maps = grid_residuals(config.spec, config.nx, config.ny, workers=config.workers)
-    labels = []
-    for check in checks_in("classify"):
-        value = float(np.max(check.residual(maps)))
-        tol = config.tolerance_overrides.get(check.name, check.tolerance) * config.tolerance_scale
-        labels.append(
-            {
-                "name": check.name,
-                "paper_ref": check.description,
-                "value": value,
-                "tolerance": tol,
-                "status": "yes" if value < tol else "no",
-            }
-        )
+    checks = [check.evaluate(maps) for check in checks_in("classify", config.checks)]
+    labels = _check_rows(checks, words={"PASS": "yes", "FAIL": "no"})
     payload = _base_payload(config)
     payload["checks"] = labels
     payload["aggregates"] = {

@@ -277,13 +277,33 @@ def validate(ast: ExprAst, params: dict[str, float]) -> list[Diagnostic]:
     return out
 
 
+def _params_read(node: ExprAst) -> set[str]:
+    """Names of the parameters an expression reads."""
+    if isinstance(node, Param):
+        return {node.name}
+    children = (v for v in vars(node).values() if isinstance(v, ExprAst))
+    return set().union(*map(_params_read, children))
+
+
 def require_valid(asts, params: dict[str, float]) -> None:
-    """Raise ERR_VALIDATION (carrying the diagnostics) unless all are clean."""
+    """Raise ERR_VALIDATION (carrying the diagnostics) unless all are clean.
+
+    Beyond each expression's own diagnostics, a parameter that no expression
+    reads is an error (position -1): it is most likely a misspelt name.
+    """
     diags: list[Diagnostic] = []
     for ast in asts:
         diags.extend(validate(ast, params))
+    read = set().union(*map(_params_read, asts))
+    diags.extend(
+        Diagnostic(-1, f"parameter {name} is read by no expression")
+        for name in params
+        if name not in read
+    )
     if diags:
-        summary = "; ".join(f"offset {d.position}: {d.message}" for d in diags)
+        summary = "; ".join(
+            f"offset {d.position}: {d.message}" if d.position >= 0 else d.message for d in diags
+        )
         err = ValidationError(f"invalid expression(s): {summary}")
         err.diagnostics = diags
         raise err

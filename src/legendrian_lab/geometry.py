@@ -377,10 +377,6 @@ class ChartFrame:
         return ambient.apply_J(self.H_j)
 
     @cached_property
-    def JH(self) -> np.ndarray:
-        return values(self.JH_j)
-
-    @cached_property
     def norm_H_sq_j(self) -> Jet2:
         return ambient.real_inner(self.H_j, self.H_j)
 

@@ -1,17 +1,20 @@
 """The check registry, and the sweeps over ``geometry.ChartFrame`` that feed it.
 
 ``CHECKS`` is an ordered tuple with one ``Check`` row for every check any
-command can print.  A row holds the check's name, its family, its tolerance
-(scaled by the CLI's tolerance factor), its description, the per-point
-residual it reads and the mask of points it reads it at.  Each command
-iterates the rows of its families, in registry order:
+command can print.  A row holds the check's name, its family, its default
+tolerance, its description, the per-point residual it reads and the mask of
+points it reads it at.  A CLI run resolves the registry once: a copy of
+``CHECKS`` whose every tolerance is the ``[tolerances]`` override or the
+default, times the tolerance scale.  ``Check.result`` is the one place a
+residual is judged against a tolerance.  Each command iterates the rows of its
+families, in registry order:
 
 * ``grid`` rows (``run_verification``) read the residual maps that
   ``grid_residuals`` sweeps over the half-offset grid;
 * ``identity`` rows (``identity_suite``, after the grid rows in ``verify``)
   read a degree-5 ``ChartFrame`` at seeded sample points;
-* ``classify`` rows read the same grid maps; the CLI prints their grid max
-  against the tolerance as a yes/no verdict;
+* ``classify`` rows read the same grid maps; the CLI prints PASS as the
+  verdict yes and FAIL as no;
 * ``table`` and ``energy`` rows carry only a name, a tolerance and a
   description: the CLI computes their deviation.
 
@@ -139,27 +142,26 @@ class Check:
     residual: Callable | None = None
     mask: Callable | None = None
 
-    def evaluate(self, source, tolerance_scale: float = 1.0) -> CheckResult:
+    def evaluate(self, source) -> CheckResult:
         """The check on ``source``; with no point masked in, the residual is not computed."""
         used = None if self.mask is None else self.mask(source)
         if used is not None and not used.any():
-            return self.result(np.zeros(used.size), tolerance_scale, used)
-        return self.result(self.residual(source), tolerance_scale, used)
+            return self.result(np.zeros(used.size), used)
+        return self.result(self.residual(source), used)
 
-    def result(self, residuals, tolerance_scale: float = 1.0, used=None) -> CheckResult:
+    def result(self, residuals, used=None) -> CheckResult:
         """Aggregate per-point residuals (or one scalar) into this check's result.
 
         Points outside ``used`` count as skipped; a check with no point left
         is SKIP, otherwise it passes when the max |residual| is below the
-        scaled tolerance.
+        row's tolerance.  This is the one place a residual meets a tolerance.
         """
         residuals = np.atleast_1d(np.asarray(residuals, dtype=float))
         n = residuals.size
         if used is not None:
             residuals = residuals[used]
-        tolerance = self.tolerance * tolerance_scale
         if residuals.size == 0:
-            return CheckResult(self.name, self.description, n, n, 0.0, 0.0, tolerance, "SKIP")
+            return CheckResult(self.name, self.description, n, n, 0.0, 0.0, self.tolerance, "SKIP")
         max_r = float(np.max(np.abs(residuals)))
         return CheckResult(
             name=self.name,
@@ -168,8 +170,8 @@ class Check:
             n_skipped=n - residuals.size,
             max_residual=max_r,
             rms_residual=float(np.sqrt(np.mean(residuals**2))),
-            tolerance=tolerance,
-            status="PASS" if max_r < tolerance else "FAIL",
+            tolerance=self.tolerance,
+            status="PASS" if max_r < self.tolerance else "FAIL",
         )
 
 
@@ -449,15 +451,15 @@ CHECKS = (
 )
 
 
-def checks_in(family: str) -> tuple[Check, ...]:
-    """The registry rows of one family, in registry order."""
-    return tuple(row for row in CHECKS if row.family == family)
+def checks_in(family: str, registry: tuple[Check, ...] = CHECKS) -> tuple[Check, ...]:
+    """The rows of one family of ``registry`` (``CHECKS`` or a run's resolved copy), in order."""
+    return tuple(row for row in registry if row.family == family)
 
 
 def identity_suite(
     spec: ImmersionSpec,
     points,
-    tolerance_scale: float = 1.0,
+    registry: tuple[Check, ...] = CHECKS,
 ) -> ResidualReport:
     """Verify the pointwise identity web at the given chart points.
 
@@ -470,7 +472,7 @@ def identity_suite(
     return ResidualReport(
         surface=spec.label,
         descriptor=f"{xs.size} seeded interior points",
-        checks=tuple(row.evaluate(fr, tolerance_scale) for row in checks_in("identity")),
+        checks=tuple(row.evaluate(fr) for row in checks_in("identity", registry)),
     )
 
 
@@ -575,13 +577,13 @@ def run_verification(
     seed: int = 0,
     n_sample: int = 100,
     workers: int = 1,
-    tolerance_scale: float = 1.0,
+    registry: tuple[Check, ...] = CHECKS,
 ) -> ResidualReport:
     """The grid rows on the grid maps, then the identity suite, as one report."""
     maps = grid_residuals(spec, nx, ny, workers=workers)
-    checks = tuple(row.evaluate(maps, tolerance_scale) for row in checks_in("grid"))
+    checks = tuple(row.evaluate(maps) for row in checks_in("grid", registry))
     xs, ys = sample_points(spec, n_sample, seed)
-    suite = identity_suite(spec, (xs, ys), tolerance_scale=tolerance_scale)
+    suite = identity_suite(spec, (xs, ys), registry)
     return ResidualReport(
         surface=spec.label,
         descriptor=f"{nx}x{ny} half-offset grid; {n_sample} seeded points (seed {seed})",

@@ -161,6 +161,36 @@ def test_unknown_tolerance_name_is_a_configuration_error(capsys, tmp_path):
     assert captured.out == ""
 
 
+def test_tolerances_resolve_to_override_or_default_times_scale(capsys, tmp_path):
+    # Every command judges its rows against the run's resolved registry: the
+    # override (or the registry default) times the scale, status by value < tolerance.
+    overrides = {"legendrian_defect": 1e-30, "minimal": 1e-30, "metric": 1e-9,
+                 "quadrature_doubling": 1e-30}
+    cfg = tmp_path / "scaled.cfg"
+    cfg.write_text(
+        "[tolerances]\nscale = 1e3\n" + "".join(f"{k} = {v!r}\n" for k, v in overrides.items())
+    )
+    defaults = {row.name: row.tolerance for row in operators.CHECKS}
+    verdict = {"verify": ("PASS", "FAIL"), "classify": ("yes", "no")}
+    for argv in (
+        ["verify", "--surface", "calabi", "--grid", "6x6"],
+        ["classify", "--surface", "calabi", "--grid", "6x6"],
+        ["table", "--surface", "calabi", "--grid", "6x6"],
+        ["energy", "--surface", "calabi", "--grid", "8x8"],
+    ):
+        _, payload = _run_json(capsys, argv + ["--config", str(cfg), "--format", "json"])
+        yes, no = verdict.get(argv[0], verdict["verify"])
+        assert payload["tolerance_scale"] == 1e3
+        for row in payload["checks"]:
+            expected = overrides.get(row["name"], defaults[row["name"]]) * 1e3
+            assert row["tolerance"] == expected, (argv[0], row["name"])
+            if row["status"] != "SKIP":
+                passed = row["value"] < row["tolerance"]
+                assert row["status"] == (yes if passed else no), (argv[0], row["name"])
+        names = {row["name"] for row in payload["checks"]}
+        assert names & set(overrides), argv[0]
+
+
 def test_every_registry_name_is_a_valid_override_for_every_command(capsys, tmp_path):
     # One config file serves all four commands, and each applies its rows'
     # overrides, mixed-case names such as norm_H_sq included.
@@ -397,6 +427,56 @@ def test_config_file_supplies_surface_and_run_options(capsys, tmp_path):
     assert payload["grid"] == [6, 6]
 
 
+@pytest.mark.parametrize("command, grid", [("table", [8, 32]), ("energy", [8, 64])])
+def test_a_partial_grid_section_takes_the_command_default(capsys, tmp_path, command, grid):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("[grid]\nnx = 8\n")
+    rc, payload = _run_json(
+        capsys, [command, "--surface", "calabi", "--config", str(cfg), "--format", "json"]
+    )
+    assert rc == 0
+    assert payload["grid"] == grid
+
+
+@pytest.mark.parametrize(
+    "flag, body, named",
+    [
+        ("--config", "[run]\nseed = 1\nseed = 2\n", ":3: seed: repeated key"),
+        ("--expr-file", CALABI_TWIN_EXPR + "f1 = r2*exp(i*x)\n", ":7: f1: repeated key"),
+    ],
+    ids=["config", "expression"],
+)
+def test_a_repeated_key_is_a_configuration_error(capsys, tmp_path, flag, body, named):
+    path = tmp_path / "twice.ini"
+    path.write_text(body)
+    rc = cli.main(["classify", "--grid", "6x6", flag, str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "ERR_VALIDATION" in captured.err and f"{path}{named}" in captured.err
+    assert captured.out == ""
+
+
+def test_an_expression_parameter_no_component_reads_is_a_configuration_error(capsys, tmp_path):
+    twin = tmp_path / "typo.expr"
+    twin.write_text(CALABI_TWIN_EXPR.replace("r4=0.8", "r4=0.8, zz=3"))
+    rc = cli.main(["classify", "--expr-file", str(twin), "--grid", "6x6"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "ERR_VALIDATION" in captured.err and "parameter zz" in captured.err
+    assert captured.out == ""
+
+
+def test_an_expression_surface_section_keeps_its_keys_under_the_surface_flag(capsys, tmp_path):
+    # The file's own kind decides which [surface] keys are valid.
+    cfg = tmp_path / "expr.cfg"
+    cfg.write_text("[surface]\nkind = expression\n" + CONTROL_EXPR)
+    rc, payload = _run_json(
+        capsys, ["classify", "--surface", "mironov", "--config", str(cfg), "--format", "json"]
+    )
+    assert rc == 0
+    assert payload["surface"] == "mironov"
+
+
 def test_expression_surface_from_config_file(capsys, tmp_path):
     cfg = tmp_path / "expr.cfg"
     cfg.write_text(
@@ -453,6 +533,7 @@ def test_inline_comments_are_stripped(tmp_path):
         ("[tolerence]\ncsl_residual = 1e-9\n", "[tolerence]"),
         ("[grid]\nnx = 8\nnz = 8\n", "nz"),
         ("seed = 3\n[run]\nworkers = 1\n", "seed"),
+        ("[surface]\nkind = mironov\nparms = a=2,b=5,c=1\n", "parms"),
     ],
 )
 def test_unknown_config_sections_and_keys_are_configuration_errors(capsys, tmp_path, body, named):

@@ -133,3 +133,16 @@ def test_expression_surface_rejects_invalid_input_with_diagnostics():
         surfaces.from_expression(("b*x", "0", "1"), {}, dom)
     assert err.value.diagnostics
     assert "unknown parameter b" in str(err.value)
+
+
+def test_a_parameter_no_component_reads_is_rejected():
+    dom = ((0.0, 2 * math.pi), (0.0, 2 * math.pi))
+    params = {"r1": 0.8, "r2": 0.6, "zz": 3.0}
+    with pytest.raises(ValidationError) as err:
+        surfaces.from_expression(("r1*exp(i*x)", "r2*exp(i*y)", "0"), params, dom)
+    assert [(d.position, d.message) for d in err.value.diagnostics] == [
+        (-1, "parameter zz is read by no expression")
+    ]
+    assert "offset" not in str(err.value)
+    # A parameter read by any one component counts as read.
+    surfaces.from_expression(("r1*exp(i*x)", "r2*exp(i*y)", "zz*0"), params, dom)

@@ -66,3 +66,31 @@ def test_every_top_level_definition_is_used_in_the_package():
         and not any(name in used for owner, used in uses if owner != name)
     ]
     assert unused == []
+
+
+def test_every_chart_frame_member_is_named_in_the_package():
+    # A ChartFrame property or method counts as used when some node of src/
+    # outside its own definition names it.
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
+    frame = next(
+        node
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "ChartFrame"
+    )
+    members = [
+        node for node in frame.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
+    ]
+    namings = [
+        (node, node.id if isinstance(node, ast.Name) else node.attr)
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    unused = []
+    for member in members:
+        own = set(map(id, ast.walk(member)))
+        if not any(name == member.name and id(node) not in own for node, name in namings):
+            unused.append(member.name)
+    assert members and unused == []
