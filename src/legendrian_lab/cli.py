@@ -63,10 +63,11 @@ class RunConfig:
     checks: tuple[Check, ...] = CHECKS
 
 
-def _parse_flat_config(text: str, origin: str) -> dict[str, dict[str, str]]:
+def _parse_flat_config(text: str, origin: str, headers=True) -> dict[str, dict[str, str]]:
     """Parse ``key = value`` lines under ``[section]`` headers; ``#`` starts a comment.
 
-    A key repeated within a section is an error, not a silent last-one-wins.
+    A key repeated within a section is an error, not a silent last-one-wins,
+    and so is any header when ``headers`` is false.
     """
     sections: dict[str, dict[str, str]] = {"": {}}
     current = ""
@@ -75,6 +76,8 @@ def _parse_flat_config(text: str, origin: str) -> dict[str, dict[str, str]]:
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
+            if not headers:
+                raise ValidationError(f"{origin}:{lineno}: {line}: this file has no sections")
             current = line[1:-1].strip().lower()
             sections.setdefault(current, {})
             continue
@@ -185,10 +188,7 @@ def _expression_spec_from(flat: dict[str, str], origin: str, label: str) -> Imme
 def load_expression_surface(path: str) -> ImmersionSpec:
     """Build an expression-defined surface from a flat definition file."""
     with open(path, encoding="utf-8") as fh:
-        sections = _parse_flat_config(fh.read(), path)
-    flat: dict[str, str] = {}
-    for body in sections.values():
-        flat.update(body)
+        flat = _parse_flat_config(fh.read(), path, headers=False)[""]
     return _expression_spec_from(
         flat, path, label=f"expression({os.path.basename(path)})"
     )
@@ -237,9 +237,16 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     grid_cfg = file_cfg.get("grid", {})
     tol_cfg = dict(file_cfg.get("tolerances", {}))
 
-    if args.expr_file and args.surface:
-        raise ValidationError("--surface and --expr-file are mutually exclusive")
-    expression = args.expr_file or (surface_cfg.get("kind") == "expression" and not args.surface)
+    config_expression = surface_cfg.get("kind") == "expression"
+    given = {
+        "--surface": args.surface,
+        "--expr-file": args.expr_file,
+        f"[surface] kind = expression in {args.config}": config_expression,
+    }
+    named = [name for name, value in given.items() if value]
+    if len(named) > 1:
+        raise ValidationError(f"{' and '.join(named)} are mutually exclusive: give one surface")
+    expression = args.expr_file or config_expression
     if expression and args.params:
         raise ValidationError(
             "--params does not apply to an expression surface: set its parameters in its definition"

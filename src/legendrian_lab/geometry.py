@@ -93,6 +93,13 @@ def legendrian_defect(F) -> np.ndarray:
     return np.maximum(*tangency) + np.abs(ambient.real_inner(p, p) - 1.0)
 
 
+def _symmetric(entry):
+    """The 2x2 nested list of ``entry(i, j)``, built once per unordered pair:
+    the yx entry is the xy object."""
+    xy = entry(0, 1)
+    return [[entry(0, 0), xy], [xy, entry(1, 1)]]
+
+
 def _det3(m):
     return (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
@@ -233,6 +240,11 @@ class ChartFrame:
     Properties are cached; all arrays put chart indices first and batch axes
     last.  Points are evaluated on the universal cover of the chart: no
     periodic wrap and no domain check (see ``evaluate_jet_batch``).
+
+    Each jet product is made once, at the degree its readers need.  det g
+    and sqrt(det g) are inverted once each and multiplied by.  g_ij, g^ij,
+    Gamma^k_ij, B_ij and sigma_ijk build their xy entry once, and the yx entry
+    is the same object; ``H_j`` and ``B_JH_JH_j`` add it twice.
     """
 
     def __init__(self, spec: ImmersionSpec, xs, ys, degree: int = 4):
@@ -256,12 +268,14 @@ class ChartFrame:
     def gj(self):
         """Metric jets gj[i][j], degree-1 lower than F."""
         Fi = (self.Fx, self.Fy)
-        return [[ambient.real_inner(Fi[i], Fi[j]) for j in range(2)] for i in range(2)]
+        return _symmetric(lambda i, j: ambient.real_inner(Fi[i], Fi[j]))
 
     @cached_property
     def det_j(self) -> Jet2:
-        gj = self.gj
-        det = gj[0][0] * gj[1][1] - gj[0][1] * gj[0][1]
+        """det g to degree ``degree - 2``, the furthest g^ij and sqrt(det g) are read."""
+        low = max(self.degree - 2, 0)
+        (g00, g01), (_, g11) = ([g.truncate(low) for g in row] for row in self.gj)
+        det = g00 * g11 - g01 * g01
         d = np.ravel(_real(det))
         if np.any(d <= DET_TOL):
             worst = int(np.argmin(d))
@@ -274,15 +288,18 @@ class ChartFrame:
 
     @cached_property
     def ginv_j(self):
-        gj, det = self.gj, self.det_j
-        return [
-            [gj[1][1] / det, -(gj[0][1] / det)],
-            [-(gj[0][1] / det), gj[0][0] / det],
-        ]
+        gj, inv = self.gj, self.det_j.reciprocal()
+        xy = -(gj[0][1] * inv)
+        return [[gj[1][1] * inv, xy], [xy, gj[0][0] * inv]]
 
     @cached_property
     def sqrt_det_j(self) -> Jet2:
         return jets.sqrt(self.det_j)
+
+    @cached_property
+    def inv_sqrt_det_j(self) -> Jet2:
+        """1 / sqrt(det g) to degree ``degree - 3``: it multiplies derivatives only."""
+        return self.sqrt_det_j.truncate(max(self.degree - 3, 0)).reciprocal()
 
     @cached_property
     def g(self) -> np.ndarray:
@@ -307,24 +324,13 @@ class ChartFrame:
     def gamma_j(self):
         """Christoffel jets gamma_j[k][i][j] (degree-2 lower than F)."""
         gj, ginv = self.gj, self.ginv_j
-        dg = [
-            [[gj[i][j].dx() for j in range(2)] for i in range(2)],
-            [[gj[i][j].dy() for j in range(2)] for i in range(2)],
-        ]
-        out = []
-        for k in range(2):
-            row_k = []
-            for i in range(2):
-                row_i = []
-                for j in range(2):
-                    acc = None
-                    for l in range(2):
-                        term = ginv[k][l] * (dg[i][j][l] + dg[j][i][l] - dg[l][i][j])
-                        acc = term if acc is None else acc + term
-                    row_i.append(acc * 0.5)
-                row_k.append(row_i)
-            out.append(row_k)
-        return out
+        dg = [[[d(gj[i][j]) for j in range(2)] for i in range(2)] for d in (Jet2.dx, Jet2.dy)]
+
+        def entry(k, i, j):
+            t0, t1 = (ginv[k][l] * (dg[i][j][l] + dg[j][i][l] - dg[l][i][j]) for l in range(2))
+            return (t0 + t1) * 0.5
+
+        return [_symmetric(lambda i, j: entry(k, i, j)) for k in range(2)]
 
     @cached_property
     def gamma(self) -> np.ndarray:
@@ -333,40 +339,25 @@ class ChartFrame:
     @cached_property
     def B_j(self):
         """Second-fundamental-form jets B_j[i][j] (jet-vectors)."""
-        F, Fx, Fy = self.F, self.Fx, self.Fy
+        Fx, Fy = self.Fx, self.Fy
         F2 = ((jv_dx(Fx), jv_dy(Fx)), (jv_dx(Fy), jv_dy(Fy)))
+        F = tuple(f.truncate(self.degree - 2) for f in self.F)  # g_ij F at B's degree
         gm, gj = self.gamma_j, self.gj
-        out = []
-        for i in range(2):
-            row = []
-            for j in range(2):
-                vec = tuple(
-                    F2[i][j][m]
-                    - gm[0][i][j] * Fx[m]
-                    - gm[1][i][j] * Fy[m]
-                    + gj[i][j] * F[m]
-                    for m in range(3)
-                )
-                row.append(vec)
-            out.append(row)
-        return out
+        return _symmetric(lambda i, j: tuple(
+            F2[i][j][m] - gm[0][i][j] * Fx[m] - gm[1][i][j] * Fy[m] + gj[i][j] * F[m]
+            for m in range(3)
+        ))
 
     @cached_property
     def B(self) -> np.ndarray:
-        return np.array(
-            [[values(self.B_j[i][j]) for j in range(2)] for i in range(2)]
-        )
+        return np.array([[values(b) for b in row] for row in self.B_j])
 
     @cached_property
     def H_j(self):
         """Mean-curvature jet-vector H = g^{ij} B_ij."""
         ginv, B = self.ginv_j, self.B_j
-        acc = None
-        for i in range(2):
-            for j in range(2):
-                term = tuple(ginv[i][j] * b for b in B[i][j])
-                acc = term if acc is None else tuple(a + t for a, t in zip(acc, term))
-        return acc
+        xx, xy, yy = (tuple(ginv[i][j] * b for b in B[i][j]) for i, j in ((0, 0), (0, 1), (1, 1)))
+        return tuple(a + b + b + c for a, b, c in zip(xx, xy, yy))
 
     @cached_property
     def H(self) -> np.ndarray:
@@ -462,13 +453,14 @@ class ChartFrame:
     @cached_property
     def laplace_div_JH(self) -> np.ndarray:
         """Delta Div(JH), the fourth-order term of the csL-Willmore equation (degree 5)."""
-        return _real(self._laplacian_j(self.div_JH_j))
+        return _real(self._divergence_j(self.grad_div_JH_j))
 
     @cached_property
     def nabla_a_j(self):
         """Jets of the covariant derivative T_i^k = (nabla_i JH)^k."""
         a, gm = self.a_j, self.gamma_j
         da = [[a[k].dx(), a[k].dy()] for k in range(2)]  # da[k][i] = d_i a^k
+        a = [c.truncate(1) for c in a]  # T is read to first order
         return [
             [da[k][i] + gm[k][i][0] * a[0] + gm[k][i][1] * a[1] for k in range(2)]
             for i in range(2)
@@ -503,7 +495,8 @@ class ChartFrame:
     @cached_property
     def laplace_norm_H_sq(self) -> np.ndarray:
         """Scalar Laplace-Beltrami of |H|^2, exact from the |H|^2 jet."""
-        return _real(self._laplacian_j(self.norm_H_sq_j))
+        f = self.norm_H_sq_j
+        return _real(self._divergence_j(self._raise_j([f.dx(), f.dy()])))
 
     @cached_property
     def laplace_log_H(self) -> np.ndarray:
@@ -514,12 +507,10 @@ class ChartFrame:
 
     @cached_property
     def sigma_chart_j(self):
-        """Jets of sigma_ijk = real_inner(B_ij, J F_k) in chart indices."""
-        JF = [ambient.apply_J(F) for F in (self.Fx, self.Fy)]
-        return [
-            [[ambient.real_inner(self.B_j[i][j], JF[k]) for k in range(2)] for j in range(2)]
-            for i in range(2)
-        ]
+        """Jets of sigma_ijk = real_inner(B_ij, J F_k) in chart indices, to first order."""
+        JF = [ambient.apply_J(tuple(f.truncate(1) for f in F)) for F in (self.Fx, self.Fy)]
+        B = self.B_j
+        return _symmetric(lambda i, j: [ambient.real_inner(B[i][j], JF[k]) for k in range(2)])
 
     @cached_property
     def sigma_chart(self) -> np.ndarray:
@@ -532,15 +523,12 @@ class ChartFrame:
 
     @cached_property
     def B_JH_JH_j(self):
-        """Jet-vector B(JH, JH) = a^i a^j B_ij."""
-        a, B = self.a_j, self.B_j
-        return tuple(
-            a[0] * a[0] * B[0][0][m]
-            + a[0] * a[1] * B[0][1][m]
-            + a[1] * a[0] * B[1][0][m]
-            + a[1] * a[1] * B[1][1][m]
-            for m in range(3)
-        )
+        """Jet-vector B(JH, JH) = a^i a^j B_ij to degree ``degree - 4``, as far as it is read."""
+        a = [c.truncate(self.degree - 4) for c in self.a_j]
+        B = self.B_j
+        xx, xy, yy = a[0] * a[0], a[0] * a[1], a[1] * a[1]
+        off = [xy * b for b in B[0][1]]
+        return tuple(xx * B[0][0][m] + off[m] + off[m] + yy * B[1][1][m] for m in range(3))
 
     @cached_property
     def div_JB_JH_JH(self) -> np.ndarray:
@@ -555,7 +543,8 @@ class ChartFrame:
 
         so that <W, R> = -Div(JH).
         """
-        gd, div, h2 = self.grad_div_JH_j, self.div_JH_j, self.norm_H_sq_j
+        gd = self.grad_div_JH_j
+        div, h2 = (f.truncate(gd[0].degree) for f in (self.div_JH_j, self.norm_H_sq_j))
         return tuple(
             (
                 (gd[0] * self.Fx[m] + gd[1] * self.Fy[m]) * -1j
@@ -585,12 +574,13 @@ class ChartFrame:
         nabla^nu is the normal part of the chart derivative: it drops the
         tangential and the radial (sphere) components.
         """
-        dH = [self._normal_j(jv_dx(self.H_j)), self._normal_j(jv_dy(self.H_j))]
+        H = tuple(h.truncate(2) for h in self.H_j)  # dH is read to first order
+        dH = [self._normal_j(jv_dx(H)), self._normal_j(jv_dy(H))]
         dH_v = [values(v) for v in dH]
         out = 0.0
         for i, d_i in enumerate((jv_dx, jv_dy)):
             for j in range(2):
-                second = values(self._normal_j(d_i(dH[j])))
+                second = self._normal_v(values(d_i(dH[j])))
                 for k in range(2):
                     second = second - self.gamma[k, i, j] * dH_v[k]
                 out = out + self.g_inv[i, j] * second
@@ -647,14 +637,17 @@ class ChartFrame:
             V[m] - c[0] * self.Fx[m] - c[1] * self.Fy[m] - r * self.F[m] for m in range(3)
         )
 
+    def _normal_v(self, V) -> np.ndarray:
+        """Values of ``_normal_j`` for a stacked ambient vector V of values."""
+        g_inv, Fx, Fy = self.g_inv, self.Fx_v, self.Fy_v
+        w = [ambient.real_inner(V, Fj) for Fj in (Fx, Fy)]
+        c = [g_inv[i, 0] * w[0] + g_inv[i, 1] * w[1] for i in range(2)]
+        return V - c[0] * Fx - c[1] * Fy - ambient.real_inner(V, self.F_v) * self.F_v
+
     def _divergence_j(self, c) -> Jet2:
         """Jet of (1/sqrt g) d_i (sqrt g c^i) for chart components c^i (one degree lower)."""
         s = self.sqrt_det_j
-        return ((s * c[0]).dx() + (s * c[1]).dy()) / s
-
-    def _laplacian_j(self, f: Jet2) -> Jet2:
-        """Jet of the Laplace-Beltrami of a scalar jet (two degrees lower)."""
-        return self._divergence_j(self._raise_j([f.dx(), f.dy()]))
+        return ((s * c[0]).dx() + (s * c[1]).dy()) * self.inv_sqrt_det_j
 
     def _div_field(self, V) -> np.ndarray:
         """Divergence values of the tangential part of an ambient jet-vector V."""

@@ -250,8 +250,8 @@ class Jet2:
             )
         w = self * (1.0 / b0)
         w.coeffs[0] = w.coeffs[0] - 1.0  # w has zero constant term
-        s = constant(np.ones_like(b0), self.degree, self.batch_shape)
-        for _ in range(self.degree):
+        s = 1.0 - w
+        for _ in range(self.degree - 1):
             s = 1.0 - w * s
         return s * (1.0 / b0)
 

@@ -466,15 +466,43 @@ def test_an_expression_parameter_no_component_reads_is_a_configuration_error(cap
     assert captured.out == ""
 
 
-def test_an_expression_surface_section_keeps_its_keys_under_the_surface_flag(capsys, tmp_path):
-    # The file's own kind decides which [surface] keys are valid.
+def test_a_surface_flag_over_an_expression_surface_section_is_a_configuration_error(
+    capsys, tmp_path
+):
+    # Either flag would drop the config's expression without a word.
     cfg = tmp_path / "expr.cfg"
     cfg.write_text("[surface]\nkind = expression\n" + CONTROL_EXPR)
-    rc, payload = _run_json(
-        capsys, ["classify", "--surface", "mironov", "--config", str(cfg), "--format", "json"]
-    )
-    assert rc == 0
-    assert payload["surface"] == "mironov"
+    twin = tmp_path / "calabi.expr"
+    twin.write_text(CALABI_TWIN_EXPR)
+    for flag, value in (("--surface", "mironov"), ("--expr-file", str(twin))):
+        rc = cli.main(["classify", flag, value, "--config", str(cfg), "--grid", "6x6"])
+        captured = capsys.readouterr()
+        assert rc == 2, flag
+        assert "ERR_VALIDATION" in captured.err
+        assert flag in captured.err and f"kind = expression in {cfg}" in captured.err
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "body, line",
+    [
+        (CALABI_TWIN_EXPR + "[other]\nf1 = 0\n", ":7: [other]"),
+        ("[surface]\n" + CALABI_TWIN_EXPR, ":1: [surface]"),
+    ],
+    ids=["after_the_keys", "first_line"],
+)
+def test_a_section_header_in_an_expression_file_is_a_configuration_error(
+    capsys, tmp_path, body, line
+):
+    # Sections used to be merged into one set of keys, so the f1 under
+    # [other] silently replaced the twin's and the run failed elsewhere.
+    path = tmp_path / "sections.expr"
+    path.write_text(body)
+    rc = cli.main(["classify", "--expr-file", str(path), "--grid", "6x6"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "ERR_VALIDATION" in captured.err and f"{path}{line}" in captured.err
+    assert captured.out == ""
 
 
 def test_expression_surface_from_config_file(capsys, tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import ALL_MEMBERS, build_members
-from legendrian_lab import ambient, geometry, operators, surfaces
+from legendrian_lab import ambient, geometry, jets, operators, surfaces
 from legendrian_lab.errors import GridError, StencilOutOfDomainError
 
 TWO_PI = 2.0 * math.pi
@@ -479,3 +479,35 @@ def test_fourth_order_jets_match_nested_finite_differences(name):
     size = np.sqrt(np.sum(np.abs(jet) ** 2, axis=0))
     gap = np.sqrt(np.sum(np.abs(jet - fd) ** 2, axis=0))
     assert np.all(gap < 1e-7 * (1.0 + size))
+
+
+def test_each_frame_makes_its_shared_jet_products_once(monkeypatch):
+    # One reciprocal of det g and one of sqrt(det g) per frame, the yx entry
+    # of every symmetric tensor is the xy object, and the product counts stay
+    # at or below what that sharing gives (144 and 249 when this was written;
+    # 196 and 403 before).
+    calls = {"reciprocal": 0, "product": 0}
+    reciprocal, product = jets.Jet2.reciprocal, jets._product
+
+    def counted_reciprocal(self):
+        calls["reciprocal"] += 1
+        return reciprocal(self)
+
+    def counted_product(*args):
+        calls["product"] += 1
+        return product(*args)
+
+    monkeypatch.setattr(jets.Jet2, "reciprocal", counted_reciprocal)
+    monkeypatch.setattr(jets, "_product", counted_product)
+    xs, ys = surfaces.grid_points(MIRONOV, 16, 16)
+    operators._grid_residuals(MIRONOV, xs, ys)
+    assert calls["reciprocal"] == 2
+    assert calls["product"] <= 151
+
+    calls["product"] = 0
+    operators.identity_suite(MIRONOV, surfaces.sample_points(MIRONOV, 100, seed=0))
+    assert calls["product"] <= 256
+
+    fr = geometry.ChartFrame(MIRONOV, xs[:5], ys[:5], degree=2)
+    pairs = [fr.gj, fr.ginv_j, *fr.gamma_j, fr.B_j, fr.sigma_chart_j]
+    assert all(t[1][0] is t[0][1] for t in pairs)

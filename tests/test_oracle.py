@@ -12,15 +12,18 @@ through textbook definitions:
   derivative again by ``mpmath.diff``.
 
 ``ChartFrame`` must reproduce every one of these to 1e-12 at a few chart
-points per member, including the non-csL control where Div(JH) is of order 1.
+points per member, including the non-csL control where Div(JH) is of order 1
+and a sheared chart of mironov(1, 2, 1), the one member whose metric has an
+off-diagonal entry.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from legendrian_lab import geometry, surfaces
+from legendrian_lab import cli, geometry, surfaces
 
 mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
@@ -52,6 +55,18 @@ def _mironov_121(x, y):
     return phi * mpmath.expj(a * y), psi * mpmath.expj(b * y), zeta * mpmath.expj(-c * y)
 
 
+#: mironov(1, 2, 1) in the sheared chart x -> x + 0.3 y, where g_xy = 0.3 g_xx != 0.
+SHEARED_MIRONOV_SOURCES = (
+    "sqrt(1/2)*sin(x + 0.3*y)*exp(i*y)",
+    "sqrt(1/3)*cos(x + 0.3*y)*exp(2*i*y)",
+    "sqrt((2 + (3 + cos(2*(x + 0.3*y)))/2)/6)*exp(-i*y)",
+)
+
+
+def _sheared_mironov_121(x, y):
+    return _mironov_121(x + mpmath.mpf("0.3") * y, y)
+
+
 def _sphere(x, y):
     return mpmath.cos(x) * mpmath.cos(y), mpmath.cos(x) * mpmath.sin(y), mpmath.sin(x)
 
@@ -75,6 +90,13 @@ CASES = [
         ),
         _control,
         [(0.37, 0.41), (2.2, -0.8)],
+    ),
+    (
+        surfaces.from_expression(
+            SHEARED_MIRONOV_SOURCES, {}, ((0.0, 2.0 * math.pi), (-2.0, 2.0)), periodic=(True, False)
+        ),
+        _sheared_mironov_121,
+        [(0.4, 0.9), (1.3, -1.7)],
     ),
 ]
 
@@ -124,7 +146,9 @@ def _as_complex(v):
 
 
 @pytest.mark.parametrize(
-    "spec, F, points", CASES, ids=["calabi", "mironov_121", "geodesic_sphere", "control"]
+    "spec, F, points",
+    CASES,
+    ids=["calabi", "mironov_121", "geodesic_sphere", "control", "sheared_mironov_121"],
 )
 def test_chart_frame_matches_the_mpmath_oracle(spec, F, points):
     xs, ys = (np.array(t) for t in zip(*points))
@@ -141,7 +165,23 @@ def test_chart_frame_matches_the_mpmath_oracle(spec, F, points):
             assert np.max(np.abs(fr.H[:, n] - _as_complex(ref["H"]))) < TOL
             assert abs(fr.kappa[n] - float(ref["kappa"])) < TOL
             assert abs(fr.div_JH[n] - float(_div_JH(F, x, y))) < TOL
-    if spec.kind == "expression":
+    if F is _sheared_mironov_121:
+        # Not vacuous: the off-diagonal metric entry, and with it g^xy, B_xy
+        # and the mixed Christoffels, is far from zero here.
+        assert np.all(np.abs(fr.g[0, 1]) > 0.05)
+    elif spec.kind == "expression":
         # The control is Legendrian but not csL: Div(JH) is of order one
         # there, so the comparison above is not one of zeros.
         assert fr.div_JH[0] == pytest.approx(-3.38, abs=5e-3)
+
+
+def test_the_sheared_mironov_chart_verifies(capsys, tmp_path):
+    # mironov(1, 2, 1) is csL and csL-Willmore in every chart: every check
+    # passes but willmore_implies_minimal, which no point is gated into.
+    path = tmp_path / "sheared.expr"
+    keys = [f"f{n} = {src}" for n, src in enumerate(SHEARED_MIRONOV_SOURCES, 1)]
+    path.write_text("\n".join(keys + ["periodic = true, false", "y_range = -2, 2", ""]))
+    assert cli.main(["verify", "--expr-file", str(path), "--format", "json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    not_passed = {c["name"]: c["status"] for c in checks if c["status"] != "PASS"}
+    assert not_passed == {"willmore_implies_minimal": "SKIP"}
