@@ -37,6 +37,7 @@ class DivideByZeroJetError(LabError):
 
     ``magnitude`` holds the divisor's constant-term magnitudes over the batch,
     so a caller that knows the batch's chart points can name the worst one.
+    It is None for a constant divisor, whose message names its source offset.
     """
 
     code = "ERR_DIVIDE_BY_ZERO_JET"

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jets
-from .errors import NonAnalyticError, SyntaxParseError, ValidationError
+from .errors import DivideByZeroJetError, NonAnalyticError, SyntaxParseError, ValidationError
 from .jets import Jet2
 
 FUNCTIONS = ("exp", "sin", "cos", "sqrt", "log", "conj", "re", "im")
@@ -313,23 +313,26 @@ def require_valid(asts, params: dict[str, float]) -> None:
 
 
 def eval_jet(ast: ExprAst, x_jet: Jet2, y_jet: Jet2, params: dict[str, float]) -> Jet2:
-    """Evaluate over jet arithmetic (callers should validate first)."""
+    """Evaluate over jet arithmetic (callers should validate first).
+
+    Constants fold: a subtree without ``x`` and ``y`` evaluates to a scalar
+    that meets jets through ``Jet2``'s scalar arithmetic, and a constant
+    result is lifted once, to the batch of ``x_jet``.  Errors do not change,
+    except that a constant divisor names the offset of its ``/``, not a chart
+    point (its ``magnitude`` is None).
+    """
     degree = min(x_jet.degree, y_jet.degree)
-    shape = x_jet.batch_shape
 
-    def const(v) -> Jet2:
-        return jets.constant(v, degree, shape)
-
-    def ev(node: ExprAst) -> Jet2:
+    def ev(node: ExprAst) -> Jet2 | complex:
         if isinstance(node, Num):
-            return const(node.value)
+            return node.value
         if isinstance(node, ImagUnit):
-            return const(1j)
+            return 1j
         if isinstance(node, Var):
             return x_jet if node.name == "x" else y_jet
         if isinstance(node, Param):
             try:
-                return const(params[node.name])
+                return params[node.name]
             except KeyError:
                 raise ValidationError(f"unknown parameter {node.name}") from None
         if isinstance(node, Neg):
@@ -342,35 +345,37 @@ def eval_jet(ast: ExprAst, x_jet: Jet2, y_jet: Jet2, params: dict[str, float]) -
                 return a - b
             if node.op == "*":
                 return a * b
+            if not isinstance(b, Jet2) and abs(b) <= jets.DIVIDE_TOL:
+                raise DivideByZeroJetError(
+                    f"constant divisor {to_source(node.right)} has magnitude {abs(b):.3e} "
+                    f"<= {jets.DIVIDE_TOL:g} at offset {node.pos}", None)
             return a / b
         if isinstance(node, Pow):
             exp = node.exponent
             if not (isinstance(exp, Num) and float(exp.value).is_integer()):
                 raise ValidationError("exponent must be integer literal")
-            n = int(exp.value)
-            base = ev(node.base)
-            result = const(1.0)
-            for _ in range(n):
+            base = result = ev(node.base)
+            for _ in range(int(exp.value) - 1):
                 result = result * base
-            return result
+            return result if exp.value else 1.0
         if isinstance(node, Call):
             arg = ev(node.arg)
+            jet = arg if isinstance(arg, Jet2) else jets.constant(arg, 0)
             if node.func in _ANALYTIC_FUNCTIONS:
-                return jets.analytic(node.func, arg)
-            if node.func in ("conj", "re", "im"):
+                out = jets.analytic(node.func, jet)
+            elif node.func in ("conj", "re", "im"):
                 if degree >= 1:
                     raise NonAnalyticError(
                         f"{node.func} is not analytic: only degree-0 jets allowed"
                     )
-                if node.func == "conj":
-                    return arg.conjugate()
-                if node.func == "re":
-                    return arg.real_part()
-                return arg.imag_part()
-            raise ValidationError(f"unknown function {node.func}")
+                out = {"conj": jet.conjugate, "re": jet.real_part, "im": jet.imag_part}[node.func]()
+            else:
+                raise ValidationError(f"unknown function {node.func}")
+            return out if jet is arg else out.value
         raise ValidationError(f"unknown AST node {node!r}")
 
-    return ev(ast)
+    value = ev(ast)
+    return value if isinstance(value, Jet2) else jets.constant(value, degree, x_jet.batch_shape)
 
 
 def eval_complex(ast: ExprAst, x: complex, y: complex, params: dict[str, float]) -> complex:

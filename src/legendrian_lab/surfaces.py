@@ -262,8 +262,8 @@ def evaluate_jet_batch(spec: ImmersionSpec, xs, ys, degree: int):
     ``xs``/``ys`` are arrays of equal shape; returns a tuple of three jets
     whose coefficient arrays share that batch shape.  Raises ERR_NOT_ON_SPHERE
     if any evaluated value leaves the unit sphere by more than 1e-10, and
-    ERR_DIVIDE_BY_ZERO_JET naming the chart point of the smallest divisor if
-    a component formula divides by zero.
+    ERR_DIVIDE_BY_ZERO_JET naming the chart point of the smallest divisor (or
+    the offset of a constant one) if a component formula divides by zero.
 
     Points are evaluated on the universal cover: no wrap, no domain check
     (``wrap_point`` does both).  Finite-difference stencils need this, because
@@ -287,6 +287,8 @@ def evaluate_jet_batch(spec: ImmersionSpec, xs, ys, degree: int):
         else:
             raise UnsupportedSurfaceError(f"unknown surface family {spec.kind!r}")
     except DivideByZeroJetError as exc:
+        if exc.magnitude is None:  # a constant divisor: exprlang named its offset
+            raise DivideByZeroJetError(f"{exc.message} on {spec.label}", None) from None
         mag, px, py = (np.ravel(a) for a in np.broadcast_arrays(exc.magnitude, xs, ys))
         worst = int(np.argmin(mag))
         raise DivideByZeroJetError(

@@ -231,6 +231,29 @@ def test_syntax_error_in_expression_file(capsys, tmp_path):
     assert "offset 4" in err
 
 
+@pytest.mark.parametrize(
+    "f1, named",
+    [
+        # A constant divisor is named where it is written: the offset of its "/".
+        ("x/(a-a)", "constant divisor a-a has magnitude 0.000e+00 <= 1e-14 at offset 1 on "),
+        # A divisor that varies is named at the chart point where it vanishes.
+        ("a*(x-1)/(x-1)", "at chart point (x, y) = (1, 0.10000000000000001) on "),
+    ],
+)
+def test_a_zero_divisor_exits_2_naming_where_it_vanishes(capsys, tmp_path, f1, named):
+    path = tmp_path / "divide.expr"
+    path.write_text(
+        f"f1 = {f1}\nf2 = 0*x\nf3 = 0*y\na = 1\n"
+        "x_range = 0.5, 1.5\ny_range = 0, 1\nperiodic = false, false\n"
+    )
+    rc = cli.main(["verify", "--expr-file", str(path), "--grid", "5x5"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "ERR_DIVIDE_BY_ZERO_JET: " in captured.err
+    assert f"{named}expression(divide.expr)" in captured.err
+    assert captured.out == ""
+
+
 def test_surface_and_expr_file_flags_conflict(capsys, tmp_path):
     twin = tmp_path / "calabi.expr"
     twin.write_text(CALABI_TWIN_EXPR)

@@ -268,6 +268,41 @@ def test_energy_equals_area_for_minimal_surfaces():
     assert energy == area
 
 
+@pytest.mark.parametrize(
+    "spec, grid", [(CALABI, (128, 128)), (surfaces.geodesic_sphere(), (70, 90))]
+)
+def test_willmore_energy_in_blocks_is_bitwise_one_whole_grid_frame(monkeypatch, spec, grid):
+    # 128x128 is four full blocks.  70x90 ends in a partial block and puts
+    # Gauss-Legendre nodes on its non-periodic x axis.
+    widths = []
+
+    class RecordedFrame(geometry.ChartFrame):
+        def __init__(self, spec, xs, ys, degree=4):
+            widths.append(np.size(xs))
+            super().__init__(spec, xs, ys, degree)
+
+    monkeypatch.setattr(operators, "ChartFrame", RecordedFrame)
+    area, energy = operators.willmore_energy(spec, grid)
+    assert max(widths) <= operators.ENERGY_BLOCK_POINTS
+    assert sum(widths) == grid[0] * grid[1] and len(widths) > 1
+
+    def axis_nodes(axis, m):
+        lo, hi = spec.chart_domain[axis]
+        if spec.periodic[axis]:
+            step = (hi - lo) / m
+            return lo + step * np.arange(m), np.full(m, step)
+        t, w = np.polynomial.legendre.leggauss(m)
+        return lo + 0.5 * (hi - lo) * (t + 1.0), 0.5 * (hi - lo) * w
+
+    (xn, xw), (yn, yw) = axis_nodes(0, grid[0]), axis_nodes(1, grid[1])
+    gx, gy = np.meshgrid(xn, yn, indexing="ij")
+    fr = geometry.ChartFrame(spec, gx.ravel(), gy.ravel(), degree=2)
+    sd = np.sqrt(fr.det_g)
+    w2 = np.outer(xw, yw).ravel()
+    assert area == math.fsum((w2 * sd).tolist())
+    assert energy == math.fsum((w2 * sd * (0.25 * fr.norm_H_sq + 1.0)).tolist())
+
+
 def test_energy_grid_is_validated():
     with pytest.raises(GridError):
         operators.willmore_energy(CALABI, (3, 8))
