@@ -14,13 +14,12 @@ Everything here is derived from jets of the immersion F at a chart point:
 
 One chain and the one pointwise API: ``ChartFrame`` keeps every quantity a
 *jet* over a whole batch of points, so higher operators (divergence of JH
-and its Laplacian, the Willmore operator and the divergence of J W - 2 JH,
-vector and normal-bundle Laplacians, the Willmore-Legendrian and
-csL-Willmore residuals) come out with no finite-difference error, and the
-value-level arrays are read off the constant coefficients.  ``point_report``
-is a one-point view of it, ``brioschi`` the single Brioschi formula (fed jet
-or finite-difference metric derivatives) and ``legendrian_defect`` the
-single per-point Legendrian defect.
+and its Laplacian, the Willmore operator, vector and normal-bundle
+Laplacians, the Willmore-Legendrian and csL-Willmore residuals) come out
+with no finite-difference error, and the value-level arrays are read off the
+constant coefficients.  ``point_report`` is a one-point view of it,
+``brioschi`` the single Brioschi formula (fed jet or finite-difference metric
+derivatives) and ``legendrian_defect`` the single per-point Legendrian defect.
 
 Index conventions: chart indices i, j, k run over (x, y) = (0, 1);
 ``gamma[k, i, j]`` is Gamma^k_{ij}; arrays carrying several points append the
@@ -234,9 +233,9 @@ class ChartFrame:
 
     Construct with the jet degree the wanted quantities need: 5 gives
     everything, including the fourth-order terms (``laplace_div_JH``,
-    ``div_JW_minus_2JH``); 4 gives everything of third order (the Willmore
-    operator, ``laplace_JH``, ``normal_laplacian_H``, the cubic-form
-    partials); 2 is enough for the metric, B, H, JH and the cubic form.
+    ``div_JB_JH_JH``, ``csl_willmore_residual``); 4 gives everything of third
+    order (the Willmore operator, ``laplace_JH``, ``normal_laplacian_H``, the
+    cubic-form partials); 2 is enough for the metric, B, H, JH, cubic form.
     Properties are cached; all arrays put chart indices first and batch axes
     last.  Points are evaluated on the universal cover of the chart: no
     periodic wrap and no domain check (see ``evaluate_jet_batch``).
@@ -536,36 +535,21 @@ class ChartFrame:
         return self._div_field(ambient.apply_J(self.B_JH_JH_j))
 
     @cached_property
-    def willmore_j(self):
-        """Jet-vector of the Willmore-Legendrian operator W, half the bracket
+    def willmore(self) -> np.ndarray:
+        """Values of the Willmore-Legendrian operator W, half the bracket
 
         -J grad Div(JH) + B(JH,JH) - |H|^2 H / 2 - 2 Div(JH) R,  R = -iF,
 
-        so that <W, R> = -Div(JH).
+        so that <W, R> = -Div(JH).  A normal variation N moves the Willmore
+        energy by the integral of <W, N>.
         """
-        gd = self.grad_div_JH_j
-        div, h2 = (f.truncate(gd[0].degree) for f in (self.div_JH_j, self.norm_H_sq_j))
-        return tuple(
-            (
-                (gd[0] * self.Fx[m] + gd[1] * self.Fy[m]) * -1j
-                + self.B_JH_JH_j[m]
-                - h2 * self.H_j[m] * 0.5
-                + div * self.F[m] * 2j
-            )
-            * 0.5
-            for m in range(3)
-        )
-
-    @cached_property
-    def willmore(self) -> np.ndarray:
-        return values(self.willmore_j)
-
-    @cached_property
-    def div_JW_minus_2JH(self) -> np.ndarray:
-        """Div(J W - 2 JH) of the tangential part: the direct csL-Willmore form (degree 5)."""
-        return self._div_field(
-            tuple(w * 1j - jh * 2.0 for w, jh in zip(self.willmore_j, self.JH_j))
-        )
+        gd = self.grad_div_JH
+        return (
+            (gd[0] * self.Fx_v + gd[1] * self.Fy_v) * -1j
+            + values(self.B_JH_JH_j)
+            - self.norm_H_sq * self.H * 0.5
+            + self.div_JH * self.F_v * 2j
+        ) * 0.5
 
     @cached_property
     def normal_laplacian_H(self) -> np.ndarray:
@@ -600,13 +584,16 @@ class ChartFrame:
     def csl_willmore_residual(self) -> np.ndarray:
         """The csL-Willmore residual (degree 5), with D = Div(JH):
 
-        |Delta D + 2 trace<B(., nabla . JH), H> - |H|^2 D / 2 - 4 D|.
+        |Delta D + 2 trace<B(., nabla . JH), H> - |H|^2 D / 2 + 4 D|.
+
+        Under a Legendrian variation theta R - J grad(theta) / 2 the Willmore
+        energy changes by -1/4 of the integral of theta times the bracket.
         """
         return np.abs(
             self.laplace_div_JH
             + 2.0 * self.obstruction_density
             - 0.5 * self.norm_H_sq * self.div_JH
-            - 4.0 * self.div_JH
+            + 4.0 * self.div_JH
         )
 
     @cached_property

@@ -257,6 +257,8 @@ class Jet2:
 
     def __truediv__(self, other):
         if not isinstance(other, Jet2):
+            if np.any(np.abs(other) <= DIVIDE_TOL):
+                raise DivideByZeroJetError(f"scalar divisor of magnitude <= {DIVIDE_TOL:g}", None)
             return Jet2(self.degree, self.coeffs / other)
         a, b = self._binary_pair(other)
         return a * b.reciprocal()

@@ -251,9 +251,17 @@ def _sphere_jets(X: Jet2, Y: Jet2):
 
 
 def _expression_jets(spec: ImmersionSpec, X: Jet2, Y: Jet2):
-    return tuple(
-        exprlang.eval_jet(ast, X, Y, spec.params) for ast in spec.expressions
-    )
+    """The component jets; a constant zero divisor names its surface and component."""
+    F = []
+    for k, ast in enumerate(spec.expressions, 1):
+        try:
+            F.append(exprlang.eval_jet(ast, X, Y, spec.params))
+        except DivideByZeroJetError as exc:
+            if exc.magnitude is not None:
+                raise
+            named = f"{exc.message} on {spec.label} (component f{k})"
+            raise DivideByZeroJetError(named, None) from None
+    return tuple(F)
 
 
 def evaluate_jet_batch(spec: ImmersionSpec, xs, ys, degree: int):
@@ -263,7 +271,7 @@ def evaluate_jet_batch(spec: ImmersionSpec, xs, ys, degree: int):
     whose coefficient arrays share that batch shape.  Raises ERR_NOT_ON_SPHERE
     if any evaluated value leaves the unit sphere by more than 1e-10, and
     ERR_DIVIDE_BY_ZERO_JET naming the chart point of the smallest divisor (or
-    the offset of a constant one) if a component formula divides by zero.
+    the offset and component of a constant one) when a formula divides by zero.
 
     Points are evaluated on the universal cover: no wrap, no domain check
     (``wrap_point`` does both).  Finite-difference stencils need this, because
@@ -287,8 +295,8 @@ def evaluate_jet_batch(spec: ImmersionSpec, xs, ys, degree: int):
         else:
             raise UnsupportedSurfaceError(f"unknown surface family {spec.kind!r}")
     except DivideByZeroJetError as exc:
-        if exc.magnitude is None:  # a constant divisor: exprlang named its offset
-            raise DivideByZeroJetError(f"{exc.message} on {spec.label}", None) from None
+        if exc.magnitude is None:  # a constant divisor: _expression_jets named it
+            raise
         mag, px, py = (np.ravel(a) for a in np.broadcast_arrays(exc.magnitude, xs, ys))
         worst = int(np.argmin(mag))
         raise DivideByZeroJetError(

@@ -19,6 +19,18 @@ MINIMAL = ("geodesic_sphere", "calabi_minimal", "mironov_123")
 
 ALL_MEMBERS = NON_MINIMAL + MINIMAL
 
+#: The non-csL control F = (cos y * gamma(x), sin y), gamma a Legendrian curve in S^3.
+CONTROL = surfaces.from_expression(
+    (
+        "cos(y)*cos(x)*exp(i*(x/2 - sin(2*x)/4))",
+        "cos(y)*sin(x)*exp(-i*(x/2 + sin(2*x)/4))",
+        "sin(y)",
+    ),
+    {},
+    ((0.0, 2.0 * math.pi), (-1.2, 1.2)),
+    periodic=(True, False),
+)
+
 
 def build_members() -> dict[str, surfaces.ImmersionSpec]:
     return {

@@ -161,6 +161,17 @@ def test_unknown_tolerance_name_is_a_configuration_error(capsys, tmp_path):
     assert captured.out == ""
 
 
+def test_the_removed_agreement_check_is_an_unknown_tolerance_name(capsys, tmp_path):
+    # csl_willmore_agreement compared two forms of one derivation and is gone;
+    # a config that still sets it exits 2 like any other unknown name.
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("[tolerances]\ncsl_willmore_agreement = 1e-4\n")
+    rc = cli.main(["verify", "--surface", "calabi", "--grid", "8x8", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "[tolerances] csl_willmore_agreement: no check has this name" in captured.err
+
+
 def test_tolerances_resolve_to_override_or_default_times_scale(capsys, tmp_path):
     # Every command judges its rows against the run's resolved registry: the
     # override (or the registry default) times the scale, status by value < tolerance.
@@ -241,17 +252,31 @@ def test_syntax_error_in_expression_file(capsys, tmp_path):
     ],
 )
 def test_a_zero_divisor_exits_2_naming_where_it_vanishes(capsys, tmp_path, f1, named):
+    err = _divide_error(capsys, tmp_path, f1, "0*x")
+    assert f"{named}expression(divide.expr)" in err
+    assert ("(component f1)" in err) == ("constant" in named)
+
+
+def test_a_constant_zero_divisor_names_its_component(capsys, tmp_path):
+    err = _divide_error(capsys, tmp_path, "0*x", "y/(a-a)")
+    assert (
+        "constant divisor a-a has magnitude 0.000e+00 <= 1e-14 at offset 1 on "
+        "expression(divide.expr) (component f2)"
+    ) in err
+
+
+def _divide_error(capsys, tmp_path, f1, f2):
+    """stderr of verify on a definition file whose f1 or f2 divides by zero; exit 2."""
     path = tmp_path / "divide.expr"
     path.write_text(
-        f"f1 = {f1}\nf2 = 0*x\nf3 = 0*y\na = 1\n"
+        f"f1 = {f1}\nf2 = {f2}\nf3 = 0*y\na = 1\n"
         "x_range = 0.5, 1.5\ny_range = 0, 1\nperiodic = false, false\n"
     )
     rc = cli.main(["verify", "--expr-file", str(path), "--grid", "5x5"])
     captured = capsys.readouterr()
-    assert rc == 2
+    assert rc == 2 and captured.out == ""
     assert "ERR_DIVIDE_BY_ZERO_JET: " in captured.err
-    assert f"{named}expression(divide.expr)" in captured.err
-    assert captured.out == ""
+    return captured.err
 
 
 def test_surface_and_expr_file_flags_conflict(capsys, tmp_path):
@@ -293,6 +318,36 @@ def test_non_csl_control_fails_exactly_the_csl_family(capsys, tmp_path):
     verdicts = payload["aggregates"]["verdicts"]
     assert verdicts["legendrian"] == "yes"
     assert verdicts["csl"] == "no" and verdicts["csl_willmore"] == "no"
+
+
+#: The positive control: the suspension (cos y * gamma(x), sin y) of the
+#: torus-knot curve gamma = (r1 e^{i (r2/r1) x}, r2 e^{-i (r1/r2) x}).  It is
+#: csL and csL-Willmore but not minimal (|H| reaches about 1.35).
+KNOT_EXPR = """\
+f1 = cos(y)*r1*exp(i*(r2/r1)*x)
+f2 = cos(y)*r2*exp(-i*(r1/r2)*x)
+f3 = sin(y)
+params = r1=0.8, r2=0.6
+periodic = true, false
+y_range = -1.2, 1.2
+"""
+
+
+def test_non_minimal_csl_suspension_passes_verify(capsys, tmp_path):
+    knot = tmp_path / "knot.expr"
+    knot.write_text(KNOT_EXPR)
+    rc, payload = _run_json(capsys, ["verify", "--expr-file", str(knot), "--format", "json"])
+    assert rc == 0
+    assert payload["aggregates"] == {
+        "all_pass": True, "n_checks": 20, "n_failed": 0, "n_skipped": 1
+    }
+    by_name = {row["name"]: row for row in payload["checks"]}
+    assert by_name["csl_willmore_residual"]["value"] < 1e-12
+    assert by_name["willmore_implies_minimal"]["status"] == "SKIP"
+    rc, payload = _run_json(capsys, ["classify", "--expr-file", str(knot), "--format", "json"])
+    assert rc == 0
+    verdicts = payload["aggregates"]["verdicts"]
+    assert (verdicts["csl"], verdicts["csl_willmore"], verdicts["minimal"]) == ("yes", "yes", "no")
 
 
 def test_classify_always_exits_zero_even_for_plain_legendrian(capsys):

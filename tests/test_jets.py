@@ -206,6 +206,19 @@ def test_branch_cut_and_degenerate_divisions_raise():
         jets.lift_point(0.0, 0.0, jets.MAX_DEGREE + 1)
 
 
+@pytest.mark.parametrize("divisor", [0.0, 1e-15, -1e-15j, np.array([2.0, 0.0])])
+def test_division_by_a_vanishing_scalar_raises_instead_of_returning_inf(divisor):
+    x = jets.lift_point(np.array([0.5, 0.5]), np.array([0.5, 0.5]), 2)[0]
+    with pytest.raises(DivideByZeroJetError) as err:
+        x / divisor
+    assert err.value.magnitude is None
+
+
+def test_division_by_a_scalar_scales_the_coefficients():
+    x = jets.lift_point(0.5, 0.5, 2)[0]
+    assert np.array_equal((x / 2.0).coeffs, x.coeffs * 0.5)
+
+
 # -- the product kernel and the dtype rule, against plain Python loops --------
 
 

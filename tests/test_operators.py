@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import ALL_MEMBERS, build_members
+from conftest import ALL_MEMBERS, CONTROL, build_members
 from legendrian_lab import ambient, geometry, jets, operators, surfaces
 from legendrian_lab.errors import GridError, StencilOutOfDomainError
 
@@ -21,18 +21,6 @@ CALABI_WL_RESIDUAL = 0.49680527818357045
 MIRONOV_WL_RESIDUAL_AT_04_09 = 0.13059612731801856
 CALABI_AREA = 31.58273408348595
 CALABI_ENERGY = 36.00006744216796
-
-#: The non-csL control F = (cos y * gamma(x), sin y), gamma a Legendrian curve in S^3.
-CONTROL = surfaces.from_expression(
-    (
-        "cos(y)*cos(x)*exp(i*(x/2 - sin(2*x)/4))",
-        "cos(y)*sin(x)*exp(-i*(x/2 + sin(2*x)/4))",
-        "sin(y)",
-    ),
-    {},
-    ((0.0, TWO_PI), (-1.2, 1.2)),
-    periodic=(True, False),
-)
 
 
 # -- Richardson finite differences, the independent check on the jets ----------
@@ -181,12 +169,6 @@ def test_csl_willmore_residuals_on_the_catalog(residual_maps):
     assert np.max(residual_maps["mironov_121"]["csl_willmore_residual"]) < 1e-5
     for name in ("geodesic_sphere", "calabi_minimal", "mironov_123"):
         assert np.max(residual_maps[name]["csl_willmore_residual"]) < 1e-8
-
-
-def test_expanded_and_direct_csl_willmore_forms_agree(residual_maps):
-    for maps in residual_maps.values():
-        gap = np.abs(maps["csl_willmore_residual"] - 2.0 * maps["csl_willmore_direct"])
-        assert np.max(gap) < 1e-4
 
 
 def test_obstruction_trace_vanishes_on_catalog_members(residual_maps):
@@ -372,7 +354,6 @@ def test_run_verification_bundles_grid_and_identity_checks():
     assert report.all_pass
     assert "8x8" in report.descriptor
     names = [c.name for c in report.checks]
-    assert "csl_willmore_agreement" in names
     assert "willmore_implies_minimal" in names
     for check in report.checks:
         assert check.max_residual >= check.rms_residual >= 0.0
@@ -384,7 +365,6 @@ VERIFY_ROWS = [
     ("legendrian_defect", 1e-10),
     ("csl_residual", 1e-7),
     ("csl_willmore_residual", 1e-5),
-    ("csl_willmore_agreement", 1e-4),
     ("obstruction_trace", 1e-6),
     ("willmore_implies_minimal", 1e-6),
     ("legendrian_defect", 1e-11),
@@ -494,10 +474,6 @@ def test_fourth_order_jets_match_nested_finite_differences(name):
     def grad_div(px, py):
         return _frame(spec, px, py, degree=4).grad_div_JH
 
-    def jw_minus_2jh(px, py):
-        frp = _frame(spec, px, py, degree=4)
-        return _chart_components(frp, ambient.apply_J(frp.willmore) - 2.0 * ambient.apply_J(frp.H))
-
     def jb(px, py):
         frp = _frame(spec, px, py)
         b_jh_jh = np.einsum("i...,j...,ijm...->m...", frp.a, frp.a, frp.B)
@@ -505,7 +481,6 @@ def test_fourth_order_jets_match_nested_finite_differences(name):
 
     pairs = {
         "laplace_div_JH": (fr.laplace_div_JH, _fd_divergence(spec, grad_div, xs, ys)),
-        "div_JW_minus_2JH": (fr.div_JW_minus_2JH, _fd_divergence(spec, jw_minus_2jh, xs, ys)),
         "div_JB_JH_JH": (fr.div_JB_JH_JH, _fd_divergence(spec, jb, xs, ys)),
     }
     for key, (jet, fd) in pairs.items():
@@ -519,8 +494,7 @@ def test_fourth_order_jets_match_nested_finite_differences(name):
 def test_each_frame_makes_its_shared_jet_products_once(monkeypatch):
     # One reciprocal of det g and one of sqrt(det g) per frame, the yx entry
     # of every symmetric tensor is the xy object, and the product counts stay
-    # at or below what that sharing gives (144 and 249 when this was written;
-    # 196 and 403 before).
+    # at or below what that sharing gives (119 and 249 when this was written).
     calls = {"reciprocal": 0, "product": 0}
     reciprocal, product = jets.Jet2.reciprocal, jets._product
 
@@ -537,7 +511,7 @@ def test_each_frame_makes_its_shared_jet_products_once(monkeypatch):
     xs, ys = surfaces.grid_points(MIRONOV, 16, 16)
     operators._grid_residuals(MIRONOV, xs, ys)
     assert calls["reciprocal"] == 2
-    assert calls["product"] <= 151
+    assert calls["product"] <= 126
 
     calls["product"] = 0
     operators.identity_suite(MIRONOV, surfaces.sample_points(MIRONOV, 100, seed=0))
