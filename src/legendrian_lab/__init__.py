@@ -48,7 +48,7 @@ from .surfaces import (
     surface_by_name,
     wrap_coordinate,
 )
-from .geometry import ChartFrame, PointFrame, brioschi, legendrian_defect, point_report
+from .geometry import ChartFrame, brioschi, legendrian_defect, point_report
 from .operators import (
     CheckResult,
     ResidualReport,
@@ -63,7 +63,6 @@ __all__ = [
     "Jet2",
     "ImmersionSpec",
     "ChartFrame",
-    "PointFrame",
     "CheckResult",
     "ResidualReport",
     "Diagnostic",

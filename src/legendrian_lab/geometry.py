@@ -17,9 +17,10 @@ One chain and the one pointwise API: ``ChartFrame`` keeps every quantity a
 and its Laplacian, the Willmore operator, vector and normal-bundle
 Laplacians, the Willmore-Legendrian and csL-Willmore residuals) come out
 with no finite-difference error, and the value-level arrays are read off the
-constant coefficients.  ``point_report`` is a one-point view of it,
-``brioschi`` the single Brioschi formula (fed jet or finite-difference metric
-derivatives) and ``legendrian_defect`` the single per-point Legendrian defect.
+constant coefficients.  ``point_report`` builds it at one wrapped chart
+point, with no batch axis; ``brioschi`` is the single Brioschi formula (fed
+jet or finite-difference metric derivatives) and ``legendrian_defect`` the
+single per-point Legendrian defect.
 
 Index conventions: chart indices i, j, k run over (x, y) = (0, 1);
 ``gamma[k, i, j]`` is Gamma^k_{ij}; arrays carrying several points append the
@@ -28,7 +29,6 @@ batch axes last (e.g. a batched metric has shape (2, 2, n)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -132,97 +132,21 @@ def brioschi(g, dg, E_yy, F_xy, G_xx) -> np.ndarray:
     return (_det3(m1) - _det3(m2)) / det**2
 
 
-# -- PointFrame --------------------------------------------------------------
+# -- one chart point ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PointFrame:
-    """Everything the toolkit knows about the surface at one chart point."""
+def point_report(spec: ImmersionSpec, x: float, y: float) -> ChartFrame:
+    """The degree-4 ``ChartFrame`` at one chart point, with no batch axis.
 
-    x: float
-    y: float
-    F: np.ndarray
-    F_x: np.ndarray
-    F_y: np.ndarray
-    F_xx: np.ndarray
-    F_xy: np.ndarray
-    F_yy: np.ndarray
-    g: np.ndarray
-    g_inv: np.ndarray
-    det_g: float
-    gamma: np.ndarray
-    e1: np.ndarray
-    e2: np.ndarray
-    nu1: np.ndarray
-    nu2: np.ndarray
-    R: np.ndarray
-    B: np.ndarray
-    sigma: np.ndarray
-    H: np.ndarray
-    mu: np.ndarray
-    A_nu1: np.ndarray
-    A_nu2: np.ndarray
-    A_R: np.ndarray
-    kappa: float
-    kappa_intrinsic: float
-    norm_H_sq: float
-    norm_B_sq: float
-    defect_unit_norm: float
-    defect_tangency: float
-    defect_legendrian: float
-
-
-def point_report(spec: ImmersionSpec, x: float, y: float) -> PointFrame:
-    """The full pointwise bundle at one chart point: a one-point ``ChartFrame`` view.
-
-    ``e1, e2`` is the Gram-Schmidt frame (F_x first), ``nu_a = J e_a`` and
-    ``R`` the Reeb field; ``A_nu1``, ``A_nu2``, ``A_R`` are the chart quadratic
-    forms <B_ij, normal>; ``kappa`` comes from the Gauss equation and
-    ``kappa_intrinsic`` from the Brioschi formula.  Periodic coordinates are
-    wrapped into the chart first; a non-periodic one outside it raises
-    ERR_DOMAIN.
+    Periodic coordinates are wrapped into the chart first (``xs``, ``ys`` hold
+    the wrapped point); a non-periodic one outside it raises ERR_DOMAIN.  Every
+    array drops the batch axis, so ``g`` has shape (2, 2) and ``kappa`` is a
+    float64.  det g is read here, so a degenerate metric raises at the call.
+    The frame is a report: the identity rows take a 1-D batch.
     """
-    x_c, y_c = wrap_point(spec, x, y)
-    fr = ChartFrame(spec, [x_c], [y_c], degree=4)
-    nu1, nu2, R = ambient.apply_J(fr.e1), ambient.apply_J(fr.e2), ambient.reeb(fr.F_v)
-
-    def at(v):
-        return v[..., 0]
-
-    p, F_x, F_y = at(fr.F_v), at(fr.Fx_v), at(fr.Fy_v)
-    return PointFrame(
-        x=float(x),
-        y=float(y),
-        F=p,
-        F_x=F_x,
-        F_y=F_y,
-        F_xx=at(values(jv_dx(fr.Fx))),
-        F_xy=at(values(jv_dy(fr.Fx))),
-        F_yy=at(values(jv_dy(fr.Fy))),
-        g=at(fr.g),
-        g_inv=at(fr.g_inv),
-        det_g=float(at(fr.det_g)),
-        gamma=at(fr.gamma),
-        e1=at(fr.e1),
-        e2=at(fr.e2),
-        nu1=at(nu1),
-        nu2=at(nu2),
-        R=at(R),
-        B=at(fr.B),
-        sigma=at(fr.sigma_frame),
-        H=at(fr.H),
-        mu=at(fr.mu),
-        A_nu1=at(fr.form(nu1)),
-        A_nu2=at(fr.form(nu2)),
-        A_R=at(fr.form(R)),
-        kappa=float(at(fr.kappa)),
-        kappa_intrinsic=float(at(fr.kappa_brioschi)),
-        norm_H_sq=float(at(fr.norm_H_sq)),
-        norm_B_sq=float(at(fr.norm_B_sq)),
-        defect_unit_norm=abs(float(ambient.real_inner(p, p)) - 1.0),
-        defect_tangency=max(abs(float(ambient.real_inner(Fi, p))) for Fi in (F_x, F_y)),
-        defect_legendrian=float(at(legendrian_defect(fr.F))),
-    )
+    fr = ChartFrame(spec, *wrap_point(spec, x, y), degree=4)
+    fr.det_j  # read now, so a degenerate metric raises at this call
+    return fr
 
 
 # -- batched jet chain -------------------------------------------------------

@@ -37,10 +37,10 @@ Derivative strategy (the accuracy budget everything below leans on):
 * Finite differences are the independent cross-check, not a second engine:
   ``partial_derivative`` (4th-order central differences with step
   h = 1e-3 * (1 + |coordinate|) and one Richardson extrapolation level,
-  about 1e-12 relative error) feeds only ``brioschi_curvature_fd``, whose
-  ``gauss_vs_brioschi_fd`` check compares Richardson second derivatives of
-  the metric with the Gauss equation, and the tests, which hold the jets to
-  it.
+  about 1e-12 relative error) feeds only ``brioschi_curvature_fd`` and the
+  tests, which hold the jets to it.  ``gauss_vs_brioschi_fd`` hands it the
+  identity suite's degree-5 frame, whose g and dg it reads; two degree-2
+  stencil frames supply the metric's second derivatives.
 
 The grid maps (ambient Euclidean norm for vector equations, absolute value
 for scalar ones), each read off a ``ChartFrame`` property:
@@ -223,20 +223,20 @@ def partial_derivative(spec: ImmersionSpec, f, xs, ys, axis: int) -> np.ndarray:
 # -- intrinsic curvature via finite differences -------------------------------
 
 
-def brioschi_curvature_fd(spec: ImmersionSpec, xs, ys) -> np.ndarray:
-    """Brioschi curvature with metric second derivatives by finite differences.
+def brioschi_curvature_fd(fr: ChartFrame) -> np.ndarray:
+    """Brioschi curvature of a frame with metric second derivatives by finite differences.
 
-    The metric's *first* derivatives are jet-exact; one outer stencil supplies
-    the second derivatives, making this route independent of the embedding
-    data used by the Gauss-equation curvature.  ``xs``, ``ys`` are 1-D arrays.
+    The metric values and *first* derivatives are the frame's own, jet-exact;
+    one outer stencil of degree-2 frames supplies the second derivatives,
+    making this route independent of the embedding data used by the
+    Gauss-equation curvature.  The frame's points are a 1-D batch.
     """
 
     def metric_d1(px, py):
-        return ChartFrame(spec, px, py, degree=2).dg  # [l, i, j] = d_l g_ij
+        return ChartFrame(fr.spec, px, py, degree=2).dg  # [l, i, j] = d_l g_ij
 
-    ddg_x = partial_derivative(spec, metric_d1, xs, ys, 0)  # d_x d_l g_ij
-    ddg_y = partial_derivative(spec, metric_d1, xs, ys, 1)
-    fr = ChartFrame(spec, xs, ys, degree=2)
+    ddg_x = partial_derivative(fr.spec, metric_d1, fr.xs, fr.ys, 0)  # d_x d_l g_ij
+    ddg_y = partial_derivative(fr.spec, metric_d1, fr.xs, fr.ys, 1)
     return brioschi(fr.g, fr.dg, ddg_y[1, 0, 0], ddg_x[1, 0, 1], ddg_x[0, 1, 1])
 
 
@@ -248,8 +248,7 @@ def _tri_symmetry(fr) -> np.ndarray:
     sig = fr.sigma_frame
     tri = np.zeros(fr.xs.size)
     for perm in permutations(range(3)):
-        tri = np.maximum(tri, np.max(np.abs(sig - np.transpose(
-            sig, perm + (3,) if sig.ndim == 4 else perm)), axis=(0, 1, 2)))
+        tri = np.maximum(tri, np.max(np.abs(sig - np.transpose(sig, perm + (3,))), axis=(0, 1, 2)))
     return tri
 
 
@@ -295,7 +294,7 @@ def _four_symmetry(fr) -> np.ndarray:
     for perm in permutations(base_axes):
         if perm == base_axes:
             continue
-        moved = np.transpose(nabla_sigma, perm + (4,) if nabla_sigma.ndim == 5 else perm)
+        moved = np.transpose(nabla_sigma, perm + (4,))
         four = np.maximum(four, np.max(np.abs(nabla_sigma - moved), axis=(0, 1, 2, 3)))
     return four
 
@@ -392,7 +391,7 @@ CHECKS = (
     Check("gauss_vs_brioschi_fd", "identity", 1e-7,
           "Gauss-equation curvature vs intrinsic Brioschi "
           "(finite-difference metric derivatives)",
-          lambda fr: np.abs(brioschi_curvature_fd(fr.spec, fr.xs, fr.ys) - fr.kappa)),
+          lambda fr: np.abs(brioschi_curvature_fd(fr) - fr.kappa)),
     Check("ricci_identity", "identity", 1e-5,
           "Delta(JH) = grad Div(JH) + kappa JH for the closed dual one-form",
           _ricci_identity),
@@ -484,11 +483,12 @@ def identity_suite(
 
 
 def _quadrature(spec: ImmersionSpec, nx: int, ny: int):
-    """Nodes (xs, ys) and weights of the tensor-product rule over the chart.
+    """Nodes (xs, ys) and per-axis weights (xw, yw) of the tensor-product rule over the chart.
 
     Periodic axes use the uniform-node form of the trapezoid rule (no
     duplicated endpoint) and non-periodic axes Gauss-Legendre nodes, both
-    spectrally accurate for smooth integrands.  Flat arrays, x-major.
+    spectrally accurate for smooth integrands.  The nodes are flat arrays,
+    x-major, so ``np.outer(xw, yw).ravel()`` weights them.
     """
     if nx < 4 or ny < 4:
         raise GridError(f"integration grid {nx}x{ny} too small (need >= 4 per axis)")
@@ -503,7 +503,7 @@ def _quadrature(spec: ImmersionSpec, nx: int, ny: int):
 
     (xn, xw), (yn, yw) = axis_nodes(0, nx), axis_nodes(1, ny)
     xs, ys = (g.ravel() for g in np.meshgrid(xn, yn, indexing="ij"))
-    return xs, ys, np.outer(xw, yw).ravel()
+    return xs, ys, (xw, yw)
 
 
 def willmore_energy(spec: ImmersionSpec, grid: tuple[int, int] = (64, 64)):
@@ -518,8 +518,9 @@ def willmore_energy(spec: ImmersionSpec, grid: tuple[int, int] = (64, 64)):
     freed before the next is built.  Point values do not depend on the batch
     and fsum is correctly rounded, so the sums are bitwise those of one
     whole-grid frame; an evaluation error names the worst point of its block.
+    The flat weights are formed only after the sweep.
     """
-    xs, ys, w2 = _quadrature(spec, *grid)
+    xs, ys, (xw, yw) = _quadrature(spec, *grid)
     blocks = []
     for lo in range(0, xs.size, ENERGY_BLOCK_POINTS):
         block = slice(lo, lo + ENERGY_BLOCK_POINTS)
@@ -527,6 +528,7 @@ def willmore_energy(spec: ImmersionSpec, grid: tuple[int, int] = (64, 64)):
         blocks.append((fr.det_g, fr.norm_H_sq))
         del fr  # its jets are freed before the next block's are built
     det_g, norm_H_sq = map(np.concatenate, zip(*blocks))
+    w2 = np.outer(xw, yw).ravel()
     sd = np.sqrt(det_g)
     area = math.fsum((w2 * sd).tolist())
     energy = math.fsum((w2 * sd * (0.25 * norm_H_sq + 1.0)).tolist())

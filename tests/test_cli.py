@@ -420,8 +420,8 @@ def test_mironov_closed_forms_at_generic_chart_points(x):
     params = {"a": 1.0, "b": 2.0, "c": 1.0}
     closed = cli._mironov_closed(params, np.array([x]))
     pf = geometry.point_report(surfaces.mironov(1, 2, 1), x, 0.7)
-    iFx = ambient.apply_J(pf.F_x)
-    iFy = ambient.apply_J(pf.F_y)
+    iFx = ambient.apply_J(pf.Fx_v)
+    iFy = ambient.apply_J(pf.Fy_v)
     A_x = np.array(
         [[ambient.real_inner(pf.B[i, j], iFx) for j in range(2)] for i in range(2)]
     )

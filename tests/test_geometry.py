@@ -1,12 +1,12 @@
 """Pointwise calculus: metric, frames, second fundamental form, curvature."""
 
-import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from conftest import CONTROL
 from legendrian_lab import ambient, geometry, surfaces
 from legendrian_lab.errors import DegenerateMetricError, DomainError, OrderError
 
@@ -22,13 +22,14 @@ def _assert_point_invariants(pf):
     assert np.allclose(pf.g, pf.g.T, atol=1e-14)
     # B is normal-valued: orthogonal to the tangent frame and to F.
     for i, j in itertools.product(range(2), range(2)):
-        for t in (pf.e1, pf.e2, pf.F):
+        for t in (pf.e1, pf.e2, pf.F_v):
             assert abs(ambient.real_inner(pf.B[i, j], t)) < 1e-11
     # sigma is symmetric under all six index permutations.
     for perm in itertools.permutations(range(3)):
-        assert np.max(np.abs(pf.sigma - np.transpose(pf.sigma, perm))) < 1e-11
-    assert abs(ambient.real_inner(pf.H, pf.R)) < 1e-11
-    assert np.max(np.abs(pf.A_R)) < 1e-11
+        assert np.max(np.abs(pf.sigma_frame - np.transpose(pf.sigma_frame, perm))) < 1e-11
+    R = ambient.reeb(pf.F_v)
+    assert abs(ambient.real_inner(pf.H, R)) < 1e-11
+    assert np.max(np.abs(pf.form(R))) < 1e-11
 
 
 def _frame(spec, x, y, degree):
@@ -73,10 +74,10 @@ def test_legendrian_defect_detects_scaling_and_twisting():
 
 def test_frames_match_the_flat_torus_normalization():
     pf = geometry.point_report(CALABI, 0.0, 0.0)
-    assert np.max(np.abs(pf.e1 - pf.F_x)) < 1e-13
-    assert np.max(np.abs(pf.e2 - pf.F_y / 0.8)) < 1e-13
+    assert np.max(np.abs(pf.e1 - pf.Fx_v)) < 1e-13
+    assert np.max(np.abs(pf.e2 - pf.Fy_v / 0.8)) < 1e-13
     # Pairwise products of the five frame vectors follow the identity pattern.
-    frame = [pf.e1, pf.e2, pf.nu1, pf.nu2, pf.R]
+    frame = [pf.e1, pf.e2, ambient.apply_J(pf.e1), ambient.apply_J(pf.e2), ambient.reeb(pf.F_v)]
     gram = np.array([[ambient.real_inner(u, v) for v in frame] for u in frame])
     assert np.max(np.abs(gram - np.eye(5))) < 1e-13
 
@@ -97,7 +98,7 @@ def test_cubic_form_norm_is_chart_independent():
     for x, y in [(0.3, 0.7), (2.0, 5.1)]:
         a = geometry.point_report(CALABI, x, y)
         b = geometry.point_report(swapped, y, x)
-        assert np.sum(a.sigma**2) == pytest.approx(np.sum(b.sigma**2), abs=1e-11)
+        assert np.sum(a.sigma_frame**2) == pytest.approx(np.sum(b.sigma_frame**2), abs=1e-11)
 
 
 def test_flat_torus_shape_data_matches_the_printed_values():
@@ -107,10 +108,10 @@ def test_flat_torus_shape_data_matches_the_printed_values():
         assert np.allclose(pf.mu, mu_expected, atol=1e-12)
         # Shape operators in the orthonormal frame: A^{nu_c}[a, b] = sigma[a, b, c].
         assert np.allclose(
-            pf.sigma[:, :, 0], np.array([[-7.0 / 12.0, 0.0], [0.0, 0.75]]), atol=1e-12
+            pf.sigma_frame[:, :, 0], np.array([[-7.0 / 12.0, 0.0], [0.0, 0.75]]), atol=1e-12
         )
         assert np.allclose(
-            pf.sigma[:, :, 1],
+            pf.sigma_frame[:, :, 1],
             np.array([[0.0, 0.75], [0.75, 35.0 / 48.0]]),
             atol=1e-12,
         )
@@ -119,8 +120,8 @@ def test_flat_torus_shape_data_matches_the_printed_values():
 
 def test_twisted_torus_shape_data_at_the_symmetry_slice():
     pf = geometry.point_report(MIRONOV, 0.0, 0.9)
-    iFx = ambient.apply_J(pf.F_x)
-    iFy = ambient.apply_J(pf.F_y)
+    iFx = ambient.apply_J(pf.Fx_v)
+    iFy = ambient.apply_J(pf.Fy_v)
     A_x = np.array(
         [[ambient.real_inner(pf.B[i, j], iFx) for j in range(2)] for i in range(2)]
     )
@@ -138,10 +139,10 @@ def test_twisted_torus_shape_data_at_the_symmetry_slice():
 def test_gauss_curvature_closed_cases():
     for x, y in [(0.4, 0.4), (3.3, 1.0)]:
         pf = geometry.point_report(CALABI, x, y)
-        assert abs(pf.kappa_intrinsic) < 1e-9
+        assert abs(pf.kappa_brioschi) < 1e-9
         assert abs(pf.kappa) < 1e-9
     pf = geometry.point_report(surfaces.geodesic_sphere(), 0.3, 2.0)
-    assert pf.kappa_intrinsic == pytest.approx(1.0, abs=1e-10)
+    assert pf.kappa_brioschi == pytest.approx(1.0, abs=1e-10)
     assert pf.kappa == pytest.approx(1.0, abs=1e-10)
 
 
@@ -165,14 +166,72 @@ def test_point_report_invariants_hold_on_catalog_members():
     _assert_point_invariants(geometry.point_report(MIRONOV, math.pi / 4.0, 1.0))
 
 
+#: Every pointwise quantity a point report is read for, as read off a frame.
+POINT_QUANTITIES = {
+    "F": lambda fr: fr.F_v,
+    "F_x": lambda fr: fr.Fx_v,
+    "F_y": lambda fr: fr.Fy_v,
+    "F_xx": lambda fr: geometry.values(geometry.jv_dx(fr.Fx)),
+    "F_xy": lambda fr: geometry.values(geometry.jv_dy(fr.Fx)),
+    "F_yy": lambda fr: geometry.values(geometry.jv_dy(fr.Fy)),
+    "g": lambda fr: fr.g,
+    "g_inv": lambda fr: fr.g_inv,
+    "det_g": lambda fr: fr.det_g,
+    "gamma": lambda fr: fr.gamma,
+    "e1": lambda fr: fr.e1,
+    "e2": lambda fr: fr.e2,
+    "nu1": lambda fr: ambient.apply_J(fr.e1),
+    "nu2": lambda fr: ambient.apply_J(fr.e2),
+    "R": lambda fr: ambient.reeb(fr.F_v),
+    "B": lambda fr: fr.B,
+    "sigma_frame": lambda fr: fr.sigma_frame,
+    "H": lambda fr: fr.H,
+    "mu": lambda fr: fr.mu,
+    "A_nu1": lambda fr: fr.form(ambient.apply_J(fr.e1)),
+    "A_nu2": lambda fr: fr.form(ambient.apply_J(fr.e2)),
+    "A_R": lambda fr: fr.form(ambient.reeb(fr.F_v)),
+    "kappa": lambda fr: fr.kappa,
+    "kappa_brioschi": lambda fr: fr.kappa_brioschi,
+    "norm_H_sq": lambda fr: fr.norm_H_sq,
+    "norm_B_sq": lambda fr: fr.norm_B_sq,
+    "legendrian_defect": lambda fr: geometry.legendrian_defect(fr.F),
+}
+
+#: A surface, an in-chart point on it, and the axis a period is added along.
+REPORTED = {
+    "calabi": (CALABI, (0.3, 0.7), 0),
+    "mironov": (MIRONOV, (0.4, 0.9), 0),
+    "sphere": (surfaces.geodesic_sphere(), (0.2, 1.1), 1),
+    "control": (CONTROL, (0.4, 0.5), 0),
+}
+
+
+@pytest.mark.parametrize("shifted", [False, True], ids=["in_chart", "one_period_on"])
+@pytest.mark.parametrize("name", sorted(REPORTED))
+def test_point_report_is_the_wrapped_one_point_frame(name, shifted):
+    spec, point, axis = REPORTED[name]
+    point = list(point)
+    if shifted:
+        point[axis] += TWO_PI
+    pf = geometry.point_report(spec, *point)
+    assert isinstance(pf, geometry.ChartFrame) and pf.degree == 4
+    assert pf.xs.shape == () and pf.ys.shape == () and pf.g.shape == (2, 2)
+    assert isinstance(pf.kappa, np.float64)
+    lo, hi = spec.chart_domain[axis]
+    assert (pf.xs, pf.ys)[axis] == surfaces.wrap_coordinate(point[axis], lo, hi - lo)
+    one = geometry.ChartFrame(spec, [pf.xs], [pf.ys], degree=4)
+    for key, quantity in POINT_QUANTITIES.items():
+        assert np.array_equal(quantity(pf), quantity(one)[..., 0]), key
+
+
 def test_point_report_wraps_periodic_coordinates():
     # The flat-torus family is equivariant, not periodic, under a chart
     # period, so these agree only because point_report wraps x + 2 pi first.
     a = geometry.point_report(CALABI, 0.3, 0.7)
     b = geometry.point_report(CALABI, 0.3 + TWO_PI, 0.7)
-    for f in dataclasses.fields(a):
-        expected = getattr(a, f.name) + (TWO_PI if f.name == "x" else 0.0)
-        assert np.allclose(getattr(b, f.name), expected, rtol=0.0, atol=1e-12), f.name
+    assert b.xs == pytest.approx(0.3, abs=1e-14) and b.ys == 0.7
+    for key, quantity in POINT_QUANTITIES.items():
+        assert np.allclose(quantity(b), quantity(a), rtol=0.0, atol=1e-12), key
 
 
 def test_point_report_rejects_points_outside_a_non_periodic_chart():

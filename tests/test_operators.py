@@ -152,7 +152,7 @@ def test_willmore_operator_values():
     xs, ys = np.array([0.4]), np.array([0.9])
     W = _frame(MIRONOV, xs, ys, degree=4).willmore[:, 0]
     div = _fd_divergence(MIRONOV, _jh_components(MIRONOV), xs, ys)[0]
-    assert abs(ambient.real_inner(W, pf.R) + div) < 1e-6
+    assert abs(ambient.real_inner(W, ambient.reeb(pf.F_v)) + div) < 1e-6
 
 
 def test_willmore_legendrian_residual_frozen_values(residual_maps):
@@ -520,3 +520,30 @@ def test_each_frame_makes_its_shared_jet_products_once(monkeypatch):
     fr = geometry.ChartFrame(MIRONOV, xs[:5], ys[:5], degree=2)
     pairs = [fr.gj, fr.ginv_j, *fr.gamma_j, fr.B_j, fr.sigma_chart_j]
     assert all(t[1][0] is t[0][1] for t in pairs)
+
+
+def test_identity_suite_builds_its_frame_and_two_stencil_frames(monkeypatch):
+    # gauss_vs_brioschi_fd reads g and dg off the suite's degree-5 frame; only
+    # the x and y stencils of the metric's first derivatives build frames.
+    degrees = []
+    init = geometry.ChartFrame.__init__
+
+    def recorded_init(self, spec, xs, ys, degree=4):
+        degrees.append(degree)
+        init(self, spec, xs, ys, degree)
+
+    monkeypatch.setattr(geometry.ChartFrame, "__init__", recorded_init)
+    operators.identity_suite(MIRONOV, surfaces.sample_points(MIRONOV, 100, seed=0))
+    assert degrees == [5, 2, 2]
+
+
+@pytest.mark.parametrize("name", ALL_MEMBERS + ("control",))
+def test_fd_brioschi_reads_the_same_metric_from_any_frame_degree(name):
+    # Orders <= 2 of F do not depend on the jet degree, so the degree-5 frame
+    # the suite hands brioschi_curvature_fd holds a degree-2 frame's g and dg.
+    spec = CONTROL if name == "control" else build_members()[name]
+    xs, ys = surfaces.sample_points(spec, 100, seed=0)
+    deep, shallow = (geometry.ChartFrame(spec, xs, ys, degree=d) for d in (5, 2))
+    assert np.array_equal(deep.g, shallow.g) and np.array_equal(deep.dg, shallow.dg)
+    fd = [operators.brioschi_curvature_fd(fr) for fr in (deep, shallow)]
+    assert np.array_equal(*fd)

@@ -23,7 +23,7 @@ variation of area: Y.-G. Oh, Math. Z. 212 (1993).
 """
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import pytest
@@ -70,11 +70,32 @@ THETAS = (
 )
 
 
+def _shared_normal(X):
+    return jets.cos(X), jets.sin(X), jets.sin(X * 2.0)
+
+
+#: Normal fields N = bump(y) (a JF_x + b JF_y + c R), as (a, b, c) of the x
+#: jet.  On the control the B(JH, JH) term of W integrates to 0 against the
+#: shared field, so each surface adds one along JF_x on which that term
+#: carries at least 1% of the integral of <W, N> (130% on the control, 3.7%
+#: on the suspension).
+NORMALS = {
+    "control": (_shared_normal, lambda X: (jets.cos(X * 2.0), 0.0, 0.0)),
+    "suspension": (_shared_normal, lambda X: (jets.cos(X), 0.0, 0.0)),
+}
+
+
 class DerivedFrame(geometry.ChartFrame):
     """The degree-2 chain of a surface given by the jets of its immersion."""
 
     def __init__(self, F, xs, ys):
         self.F, self.xs, self.ys, self.degree = F, xs, ys, 2
+
+
+def _nodes(spec):
+    """``willmore_energy``'s nodes and flat weights at NODES per axis."""
+    xs, ys, (xw, yw) = operators._quadrature(spec, NODES, NODES)
+    return xs, ys, np.outer(xw, yw).ravel()
 
 
 def _deformed(F, V, t):
@@ -95,7 +116,7 @@ def _variations(name):
     """The base degree-5 frame and area element, and for each variation its
     fields and the five-point d/dt of (area, energy)."""
     spec = SURFACES[name]
-    xs, ys, w = operators._quadrature(spec, NODES, NODES)
+    xs, ys, w = _nodes(spec)
     base = geometry.ChartFrame(spec, xs, ys, degree=4)
     F = tuple(f.truncate(2) for f in base.F)
     R, JFx, JFy = ambient.reeb(base.F), ambient.apply_J(base.Fx), ambient.apply_J(base.Fy)
@@ -117,15 +138,18 @@ def _variations(name):
         J_grad = ambient.apply_J(tuple(grad[0] * p + grad[1] * q for p, q in zip(base.Fx, base.Fy)))
         (dA, dE), V = rate(tuple(th * r - jg * 0.5 for r, jg in zip(R, J_grad)))
         legendrian.append((np.real(th.value), V, dA, dE))
-    a, b, c = (_bump(Y) * f for f in (jets.cos(X), jets.sin(X), jets.sin(X * 2.0)))
-    N = tuple(a * p + b * q + c * r for p, q, r in zip(JFx, JFy, R))
-    (_, dE), _ = rate(N)
+    normal = []
+    for coefficients in NORMALS[name]:
+        a, b, c = (_bump(Y) * f for f in coefficients(X))
+        N = tuple(a * p + b * q + c * r for p, q, r in zip(JFx, JFy, R))
+        (_, dE), _ = rate(N)
+        normal.append((geometry.values(N), dE))
     return {
         "frame": geometry.ChartFrame(spec, xs, ys, degree=5),
         "F": F,
         "dA": w * np.sqrt(base.det_g),
         "legendrian": legendrian,
-        "normal": (geometry.values(N), dE),
+        "normal": normal,
     }
 
 
@@ -149,7 +173,7 @@ def test_the_variations_are_legendrian_to_first_order(name):
 def test_the_derived_sum_is_willmore_energys_quadrature(name):
     # At t = 0 the derived chain on the shared nodes and weights reproduces
     # willmore_energy, so d/dt is taken of the energy the CLI reports.
-    xs, ys, w = operators._quadrature(SURFACES[name], NODES, NODES)
+    xs, ys, w = _nodes(SURFACES[name])
     fr = DerivedFrame(_deformed(_variations(name)["F"], (0.0, 0.0, 0.0), 0.0), xs, ys)
     expected = operators.willmore_energy(SURFACES[name], (NODES, NODES))
     assert _area_energy(fr, w) == pytest.approx(expected, rel=1e-13)
@@ -165,12 +189,44 @@ def test_area_varies_by_half_the_integral_of_theta_div_JH(name):
         assert abs(rhs) > 0.1 and _agree(dA, rhs), (dA, rhs)
 
 
+def _willmore_side(fr, dA, N):
+    """int <W, N> dA, and the share of it that W's B(JH, JH) / 2 term carries."""
+    total = np.sum(dA * ambient.real_inner(fr.willmore, N))
+    term = np.sum(dA * ambient.real_inner(0.5 * geometry.values(fr.B_JH_JH_j), N))
+    return total, term / total
+
+
 @pytest.mark.parametrize("name", sorted(SURFACES))
 def test_energy_varies_by_the_willmore_vector_along_normal_fields(name):
     v = _variations(name)
-    N, dE = v["normal"]
-    rhs = np.sum(v["dA"] * ambient.real_inner(v["frame"].willmore, N))
-    assert abs(rhs) > 1e-2 and _agree(dE, rhs), (dE, rhs)
+    shares = []
+    for N, dE in v["normal"]:
+        rhs, share = _willmore_side(v["frame"], v["dA"], N)
+        assert abs(rhs) > 1e-2 and _agree(dE, rhs), (dE, rhs, f"B(JH, JH) share {share:.3g}")
+        shares.append(share)
+    assert abs(shares[-1]) >= 0.01, f"B(JH, JH) share {shares[-1]:.3g}"
+
+
+class ScaledBFrame(geometry.ChartFrame):
+    """A frame whose B(JH, JH) is 1 + 1e-3 times too large."""
+
+    @cached_property
+    def B_JH_JH_j(self):
+        return tuple(b * (1.0 + 1e-3) for b in geometry.ChartFrame.B_JH_JH_j.func(self))
+
+
+@pytest.mark.parametrize("name", sorted(SURFACES))
+def test_the_willmore_vector_relation_fires_on_a_scaled_B_JH_JH(name):
+    # On each surface's own normal field the scaled term moves int <W, N> dA
+    # by more than RTOL, so the relation fails where the plain frame passes.
+    v = _variations(name)
+    N, dE = v["normal"][-1]
+    plain = v["frame"]
+    scaled = ScaledBFrame(SURFACES[name], plain.xs, plain.ys, degree=4)
+    rhs, share = _willmore_side(plain, v["dA"], N)
+    assert _agree(dE, rhs), (dE, rhs, f"B(JH, JH) share {share:.3g}")
+    rhs, share = _willmore_side(scaled, v["dA"], N)
+    assert not _agree(dE, rhs), (dE, rhs, f"B(JH, JH) share {share:.3g}")
 
 
 @pytest.mark.parametrize("name", sorted(SURFACES))
