@@ -446,7 +446,7 @@ def _calabi_rows(spec: ImmersionSpec, nx: int, ny: int) -> list[TableRow]:
     p = spec.params
     r1, r2, r3, r4 = p["r1"], p["r2"], p["r3"], p["r4"]
     xs, ys = grid_points(spec, nx, ny)
-    fr = ChartFrame(spec, xs, ys, degree=4)
+    fr = ChartFrame.of(spec, xs, ys, degree=4)
     mu1 = (2.0 * r2 * r2 - r1 * r1) / (r1 * r2)
     mu2 = (r4 * r4 - r3 * r3) / (r1 * r3 * r4)
     # The closed forms are constant: one batch column broadcasts over the grid.
@@ -491,7 +491,7 @@ def _mironov_rows(spec: ImmersionSpec, nx: int, ny: int) -> list[TableRow]:
     # x = 0 is the representative point the closed forms are usually quoted at.
     xs = np.concatenate([[0.0], xs])
     ys = np.concatenate([[0.0], ys])
-    fr = ChartFrame(spec, xs, ys, degree=4)
+    fr = ChartFrame.of(spec, xs, ys, degree=4)
     closed = _mironov_closed(spec.params, xs)
     zeros = np.zeros_like(xs)
 

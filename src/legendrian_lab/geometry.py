@@ -144,7 +144,7 @@ def point_report(spec: ImmersionSpec, x: float, y: float) -> ChartFrame:
     float64.  det g is read here, so a degenerate metric raises at the call.
     The frame is a report: the identity rows take a 1-D batch.
     """
-    fr = ChartFrame(spec, *wrap_point(spec, x, y), degree=4)
+    fr = ChartFrame.of(spec, *wrap_point(spec, x, y), degree=4)
     fr.det_j  # read now, so a degenerate metric raises at this call
     return fr
 
@@ -153,16 +153,17 @@ def point_report(spec: ImmersionSpec, x: float, y: float) -> ChartFrame:
 
 
 class ChartFrame:
-    """Jet-exact geometric chain over a batch of chart points.
+    """Jet-exact geometric chain of the immersion jets F over a batch of chart points.
 
-    Construct with the jet degree the wanted quantities need: 5 gives
+    ``ChartFrame(F, xs, ys, degree)`` evaluates nothing: it truncates the
+    component jets F at (xs, ys), of degree ``degree`` or higher, to
+    ``degree``.  ``ChartFrame.of`` evaluates a spec first.  Degree 5 gives
     everything, including the fourth-order terms (``laplace_div_JH``,
     ``div_JB_JH_JH``, ``csl_willmore_residual``); 4 gives everything of third
     order (the Willmore operator, ``laplace_JH``, ``normal_laplacian_H``, the
     cubic-form partials); 2 is enough for the metric, B, H, JH, cubic form.
     Properties are cached; all arrays put chart indices first and batch axes
-    last.  Points are evaluated on the universal cover of the chart: no
-    periodic wrap and no domain check (see ``evaluate_jet_batch``).
+    last.
 
     Each jet product is made once, at the degree its readers need.  det g
     and sqrt(det g) are inverted once each and multiplied by.  g_ij, g^ij,
@@ -170,12 +171,22 @@ class ChartFrame:
     is the same object; ``H_j`` and ``B_JH_JH_j`` add it twice.
     """
 
-    def __init__(self, spec: ImmersionSpec, xs, ys, degree: int = 4):
-        self.spec = spec
+    #: The surface a frame was evaluated from, set by ``of``; None for a frame of given jets.
+    spec: ImmersionSpec | None = None
+
+    def __init__(self, F, xs, ys, degree: int):
         self.xs = np.asarray(xs, dtype=float)
         self.ys = np.asarray(ys, dtype=float)
         self.degree = degree
-        self.F = evaluate_jet_batch(spec, self.xs, self.ys, degree)
+        self.F = tuple(f.truncate(degree) for f in F)  # ERR_DEGREE if F is too shallow
+
+    @classmethod
+    def of(cls, spec: ImmersionSpec, xs, ys, degree: int = 4) -> ChartFrame:
+        """The frame of ``spec``, evaluated on the universal cover (see ``evaluate_jet_batch``);
+        ``brioschi_curvature_fd`` evaluates the spec it keeps at its stencils."""
+        fr = cls(evaluate_jet_batch(spec, xs, ys, degree), xs, ys, degree)
+        fr.spec = spec
+        return fr
 
     # --- first derivatives and metric ---
 

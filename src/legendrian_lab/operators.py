@@ -40,7 +40,7 @@ Derivative strategy (the accuracy budget everything below leans on):
   about 1e-12 relative error) feeds only ``brioschi_curvature_fd`` and the
   tests, which hold the jets to it.  ``gauss_vs_brioschi_fd`` hands it the
   identity suite's degree-5 frame, whose g and dg it reads; two degree-2
-  stencil frames supply the metric's second derivatives.
+  stencil frames of its spec supply the metric's second derivatives.
 
 The grid maps (ambient Euclidean norm for vector equations, absolute value
 for scalar ones), each read off a ``ChartFrame`` property:
@@ -229,11 +229,11 @@ def brioschi_curvature_fd(fr: ChartFrame) -> np.ndarray:
     The metric values and *first* derivatives are the frame's own, jet-exact;
     one outer stencil of degree-2 frames supplies the second derivatives,
     making this route independent of the embedding data used by the
-    Gauss-equation curvature.  The frame's points are a 1-D batch.
+    Gauss-equation curvature.  The frame is one of ``ChartFrame.of``, on a 1-D batch.
     """
 
     def metric_d1(px, py):
-        return ChartFrame(fr.spec, px, py, degree=2).dg  # [l, i, j] = d_l g_ij
+        return ChartFrame.of(fr.spec, px, py, degree=2).dg  # [l, i, j] = d_l g_ij
 
     ddg_x = partial_derivative(fr.spec, metric_d1, fr.xs, fr.ys, 0)  # d_x d_l g_ij
     ddg_y = partial_derivative(fr.spec, metric_d1, fr.xs, fr.ys, 1)
@@ -471,7 +471,7 @@ def identity_suite(
     csL-only identities) are counted as skipped, never silently dropped.
     """
     xs, ys = (np.asarray(a, dtype=float) for a in points)
-    fr = ChartFrame(spec, xs, ys, degree=5)
+    fr = ChartFrame.of(spec, xs, ys, degree=5)
     return ResidualReport(
         surface=spec.label,
         descriptor=f"{xs.size} seeded interior points",
@@ -524,7 +524,7 @@ def willmore_energy(spec: ImmersionSpec, grid: tuple[int, int] = (64, 64)):
     blocks = []
     for lo in range(0, xs.size, ENERGY_BLOCK_POINTS):
         block = slice(lo, lo + ENERGY_BLOCK_POINTS)
-        fr = ChartFrame(spec, xs[block], ys[block], degree=2)
+        fr = ChartFrame.of(spec, xs[block], ys[block], degree=2)
         blocks.append((fr.det_g, fr.norm_H_sq))
         del fr  # its jets are freed before the next block's are built
     det_g, norm_H_sq = map(np.concatenate, zip(*blocks))
@@ -540,7 +540,7 @@ def willmore_energy(spec: ImmersionSpec, grid: tuple[int, int] = (64, 64)):
 
 def _grid_residuals(spec: ImmersionSpec, xs, ys) -> dict[str, np.ndarray]:
     """Per-point residual magnitudes used by the verify command."""
-    fr = ChartFrame(spec, xs, ys, degree=5)
+    fr = ChartFrame.of(spec, xs, ys, degree=5)
     return {
         "legendrian_defect": legendrian_defect(fr.F),
         "csl_residual": np.abs(fr.div_JH),

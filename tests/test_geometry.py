@@ -8,7 +8,7 @@ import pytest
 
 from conftest import CONTROL
 from legendrian_lab import ambient, geometry, surfaces
-from legendrian_lab.errors import DegenerateMetricError, DomainError, OrderError
+from legendrian_lab.errors import DegenerateMetricError, DegreeError, DomainError, OrderError
 
 TWO_PI = 2.0 * math.pi
 DOM = ((0.0, TWO_PI), (0.0, TWO_PI))
@@ -33,7 +33,7 @@ def _assert_point_invariants(pf):
 
 
 def _frame(spec, x, y, degree):
-    return geometry.ChartFrame(spec, [x], [y], degree=degree)
+    return geometry.ChartFrame.of(spec, [x], [y], degree=degree)
 
 
 def test_first_fundamental_closed_forms():
@@ -219,9 +219,28 @@ def test_point_report_is_the_wrapped_one_point_frame(name, shifted):
     assert isinstance(pf.kappa, np.float64)
     lo, hi = spec.chart_domain[axis]
     assert (pf.xs, pf.ys)[axis] == surfaces.wrap_coordinate(point[axis], lo, hi - lo)
-    one = geometry.ChartFrame(spec, [pf.xs], [pf.ys], degree=4)
+    one = geometry.ChartFrame.of(spec, [pf.xs], [pf.ys], degree=4)
     for key, quantity in POINT_QUANTITIES.items():
         assert np.array_equal(quantity(pf), quantity(one)[..., 0]), key
+
+
+def test_a_frame_of_given_jets_evaluates_nothing_and_needs_their_degree(monkeypatch):
+    # The constructor keeps the jets it is given, truncated to its degree; only
+    # ChartFrame.of evaluates and records a spec.  Jets shallower than the
+    # degree raise.
+    deep = geometry.ChartFrame.of(CALABI, [0.3], [0.7], degree=4)
+
+    def refuse(*args):
+        raise AssertionError("a frame of given jets evaluated a surface")
+
+    monkeypatch.setattr(geometry, "evaluate_jet_batch", refuse)
+    given = geometry.ChartFrame(deep.F, deep.xs, deep.ys, 2)
+    assert given.spec is None and deep.spec is CALABI
+    assert [f.degree for f in given.F] == [2, 2, 2]
+    assert np.array_equal(given.F_v, deep.F_v) and np.array_equal(given.g, deep.g)
+    with pytest.raises(DegreeError) as err:
+        geometry.ChartFrame(given.F, given.xs, given.ys, 3)
+    assert err.value.code == "ERR_DEGREE"
 
 
 def test_point_report_wraps_periodic_coordinates():

@@ -27,7 +27,7 @@ CALABI_ENERGY = 36.00006744216796
 
 
 def _frame(spec, xs, ys, degree=2):
-    return geometry.ChartFrame(spec, xs, ys, degree=degree)
+    return geometry.ChartFrame.of(spec, xs, ys, degree=degree)
 
 
 def _fd_partials(spec, field, xs, ys):
@@ -110,11 +110,11 @@ def test_divergence_of_JH_vanishes_on_both_families(residual_maps):
 
 def test_log_mean_curvature_laplacian_reproduces_the_curvature():
     # |H| is constant and the metric flat on the torus with closed-form H...
-    fr = geometry.ChartFrame(CALABI, [0.3], [0.7], degree=5)
+    fr = geometry.ChartFrame.of(CALABI, [0.3], [0.7], degree=5)
     assert abs(fr.laplace_log_H[0]) < 1e-8
     assert abs(geometry.point_report(CALABI, 0.3, 0.7).kappa) < 1e-8
     # ... while the twisted family has Delta log|H| = kappa pointwise.
-    lap = geometry.ChartFrame(MIRONOV, [0.4], [0.9], degree=5).laplace_log_H[0]
+    lap = geometry.ChartFrame.of(MIRONOV, [0.4], [0.9], degree=5).laplace_log_H[0]
     kappa = geometry.point_report(MIRONOV, 0.4, 0.9).kappa
     assert lap == pytest.approx(kappa, abs=1e-5)
 
@@ -123,7 +123,7 @@ def test_covariant_derivative_of_parallel_fields_vanishes():
     nabla = _frame(CALABI, [0.3], [0.7], degree=4).nabla_a
     assert np.max(np.abs(nabla)) < 1e-8
     # The coordinate field d_x is parallel too: nabla_i d_x = Gamma^j_{i0} d_j.
-    gamma = geometry.ChartFrame(CALABI, [0.3], [0.7], degree=2).gamma
+    gamma = geometry.ChartFrame.of(CALABI, [0.3], [0.7], degree=2).gamma
     assert np.max(np.abs(gamma[:, :, 0])) < 1e-10
 
 
@@ -259,9 +259,9 @@ def test_willmore_energy_in_blocks_is_bitwise_one_whole_grid_frame(monkeypatch, 
     widths = []
 
     class RecordedFrame(geometry.ChartFrame):
-        def __init__(self, spec, xs, ys, degree=4):
+        def __init__(self, F, xs, ys, degree):
             widths.append(np.size(xs))
-            super().__init__(spec, xs, ys, degree)
+            super().__init__(F, xs, ys, degree)
 
     monkeypatch.setattr(operators, "ChartFrame", RecordedFrame)
     area, energy = operators.willmore_energy(spec, grid)
@@ -278,7 +278,7 @@ def test_willmore_energy_in_blocks_is_bitwise_one_whole_grid_frame(monkeypatch, 
 
     (xn, xw), (yn, yw) = axis_nodes(0, grid[0]), axis_nodes(1, grid[1])
     gx, gy = np.meshgrid(xn, yn, indexing="ij")
-    fr = geometry.ChartFrame(spec, gx.ravel(), gy.ravel(), degree=2)
+    fr = geometry.ChartFrame.of(spec, gx.ravel(), gy.ravel(), degree=2)
     sd = np.sqrt(fr.det_g)
     w2 = np.outer(xw, yw).ravel()
     assert area == math.fsum((w2 * sd).tolist())
@@ -469,7 +469,7 @@ def test_fourth_order_jets_match_nested_finite_differences(name):
     # they replaced, at 10 seeded points; the control's values are about 1e3.
     spec = CONTROL if name == "control" else build_members()[name]
     xs, ys = surfaces.sample_points(spec, 10, seed=3)
-    fr = geometry.ChartFrame(spec, xs, ys, degree=5)
+    fr = geometry.ChartFrame.of(spec, xs, ys, degree=5)
 
     def grad_div(px, py):
         return _frame(spec, px, py, degree=4).grad_div_JH
@@ -517,7 +517,7 @@ def test_each_frame_makes_its_shared_jet_products_once(monkeypatch):
     operators.identity_suite(MIRONOV, surfaces.sample_points(MIRONOV, 100, seed=0))
     assert calls["product"] <= 256
 
-    fr = geometry.ChartFrame(MIRONOV, xs[:5], ys[:5], degree=2)
+    fr = geometry.ChartFrame.of(MIRONOV, xs[:5], ys[:5], degree=2)
     pairs = [fr.gj, fr.ginv_j, *fr.gamma_j, fr.B_j, fr.sigma_chart_j]
     assert all(t[1][0] is t[0][1] for t in pairs)
 
@@ -528,9 +528,9 @@ def test_identity_suite_builds_its_frame_and_two_stencil_frames(monkeypatch):
     degrees = []
     init = geometry.ChartFrame.__init__
 
-    def recorded_init(self, spec, xs, ys, degree=4):
+    def recorded_init(self, F, xs, ys, degree):
         degrees.append(degree)
-        init(self, spec, xs, ys, degree)
+        init(self, F, xs, ys, degree)
 
     monkeypatch.setattr(geometry.ChartFrame, "__init__", recorded_init)
     operators.identity_suite(MIRONOV, surfaces.sample_points(MIRONOV, 100, seed=0))
@@ -540,10 +540,13 @@ def test_identity_suite_builds_its_frame_and_two_stencil_frames(monkeypatch):
 @pytest.mark.parametrize("name", ALL_MEMBERS + ("control",))
 def test_fd_brioschi_reads_the_same_metric_from_any_frame_degree(name):
     # Orders <= 2 of F do not depend on the jet degree, so the degree-5 frame
-    # the suite hands brioschi_curvature_fd holds a degree-2 frame's g and dg.
+    # the suite hands brioschi_curvature_fd holds a degree-2 frame's g and dg,
+    # and so does a degree-2 frame given the degree-5 frame's jets.
     spec = CONTROL if name == "control" else build_members()[name]
     xs, ys = surfaces.sample_points(spec, 100, seed=0)
-    deep, shallow = (geometry.ChartFrame(spec, xs, ys, degree=d) for d in (5, 2))
-    assert np.array_equal(deep.g, shallow.g) and np.array_equal(deep.dg, shallow.dg)
+    deep, shallow = (geometry.ChartFrame.of(spec, xs, ys, degree=d) for d in (5, 2))
+    given = geometry.ChartFrame(deep.F, xs, ys, 2)
+    for fr in (deep, given):
+        assert np.array_equal(fr.g, shallow.g) and np.array_equal(fr.dg, shallow.dg)
     fd = [operators.brioschi_curvature_fd(fr) for fr in (deep, shallow)]
     assert np.array_equal(*fd)

@@ -152,7 +152,7 @@ def _as_complex(v):
 )
 def test_chart_frame_matches_the_mpmath_oracle(spec, F, points):
     xs, ys = (np.array(t) for t in zip(*points))
-    fr = geometry.ChartFrame(spec, xs, ys, degree=4)
+    fr = geometry.ChartFrame.of(spec, xs, ys, degree=4)
     with mp.workdps(40):
         for n, (x, y) in enumerate(points):
             x, y = mpmath.mpf(x), mpmath.mpf(y)

@@ -59,7 +59,7 @@ def test_minimal_members_have_vanishing_mean_curvature(members):
     for name in ("calabi_minimal", "mironov_123"):
         spec = members[name]
         xs, ys = surfaces.sample_points(spec, 50, seed=3)
-        fr = geometry.ChartFrame(spec, xs, ys, degree=2)
+        fr = geometry.ChartFrame.of(spec, xs, ys, degree=2)
         assert np.max(np.sqrt(fr.norm_H_sq)) < 1e-10
 
 
@@ -71,7 +71,7 @@ def test_geodesic_sphere_is_totally_geodesic():
         atol=1e-15,
     )
     xs, ys = surfaces.sample_points(spec, 100, seed=4)
-    fr = geometry.ChartFrame(spec, xs, ys, degree=4)
+    fr = geometry.ChartFrame.of(spec, xs, ys, degree=4)
     assert np.max(np.sqrt(fr.norm_B_sq)) < 1e-11
     assert np.max(np.abs(fr.kappa - 1.0)) < 1e-10
     F = surfaces.evaluate_jet_batch(spec, xs, ys, 1)
