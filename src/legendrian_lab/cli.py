@@ -36,7 +36,9 @@ import numpy as np
 from . import ambient
 from .errors import LabError, UnsupportedSurfaceError, ValidationError
 from .geometry import ChartFrame
-from .operators import CHECKS, Check, checks_in, grid_residuals, run_verification, willmore_energy
+from .operators import (
+    CHECKS, Check, checks_in, grid_residuals, run_verification, sweep, willmore_energy
+)
 from .surfaces import ImmersionSpec, from_expression, grid_points, surface_by_name
 
 
@@ -418,50 +420,30 @@ def cmd_verify(config: RunConfig) -> int:
     return _finish(report.checks, config, payload)
 
 
-@dataclass(frozen=True)
-class TableRow:
-    """One closed-form quantity: representative values plus grid-max deviation."""
-
-    name: str
-    closed: list
-    computed: list
-    deviation: float
+def _pair(closed, computed) -> np.ndarray:
+    """Closed form and computed values stacked, the closed form broadcast to the batch."""
+    return np.stack(np.broadcast_arrays(closed, computed))
 
 
-def _table_rows(entries) -> list[TableRow]:
-    """One row per (name, closed, computed), arrays whose last axis is the batch:
-    the values at point 0 and the grid-max |computed - closed|."""
-    return [
-        TableRow(
-            name,
-            closed[..., 0].tolist(),
-            computed[..., 0].tolist(),
-            float(np.max(np.abs(computed - closed))),
-        )
-        for name, closed, computed in entries
-    ]
-
-
-def _calabi_rows(spec: ImmersionSpec, nx: int, ny: int) -> list[TableRow]:
-    p = spec.params
+def _calabi_table(fr: ChartFrame) -> dict[str, np.ndarray]:
+    p = fr.spec.params
     r1, r2, r3, r4 = p["r1"], p["r2"], p["r3"], p["r4"]
-    xs, ys = grid_points(spec, nx, ny)
-    fr = ChartFrame.of(spec, xs, ys, degree=4)
     mu1 = (2.0 * r2 * r2 - r1 * r1) / (r1 * r2)
     mu2 = (r4 * r4 - r3 * r3) / (r1 * r3 * r4)
-    # The closed forms are constant: one batch column broadcasts over the grid.
-    return _table_rows([
-        ("metric", np.array([[1.0, 0.0], [0.0, r1 * r1]])[..., None], fr.g),
-        ("shape_operator_nu1",
-         np.array([[(r2 * r2 - r1 * r1) / (r1 * r2), 0.0], [0.0, r2 / r1]])[..., None],
-         fr.sigma_frame[:, :, 0]),
-        ("shape_operator_nu2",
-         np.array([[0.0, r2 / r1], [r2 / r1, mu2]])[..., None],
-         fr.sigma_frame[:, :, 1]),
-        ("mean_curvature_mu", np.array([mu1, mu2])[..., None], fr.mu),
-        ("norm_H_sq", np.array([[mu1**2 + mu2**2]]), fr.norm_H_sq[None]),
-        ("gauss_curvature", np.zeros((1, 1)), fr.kappa[None]),
-    ])
+    # The closed forms are constant: one batch column broadcasts over the block.
+    return {
+        "metric": _pair(np.array([[1.0, 0.0], [0.0, r1 * r1]])[..., None], fr.g),
+        "shape_operator_nu1": _pair(
+            np.array([[(r2 * r2 - r1 * r1) / (r1 * r2), 0.0], [0.0, r2 / r1]])[..., None],
+            fr.sigma_frame[:, :, 0],
+        ),
+        "shape_operator_nu2": _pair(
+            np.array([[0.0, r2 / r1], [r2 / r1, mu2]])[..., None], fr.sigma_frame[:, :, 1]
+        ),
+        "mean_curvature_mu": _pair(np.array([mu1, mu2])[..., None], fr.mu),
+        "norm_H_sq": _pair(np.array([[mu1**2 + mu2**2]]), fr.norm_H_sq[None]),
+        "gauss_curvature": _pair(np.zeros((1, 1)), fr.kappa[None]),
+    }
 
 
 def _mironov_closed(params: dict[str, float], xs: np.ndarray) -> dict[str, np.ndarray]:
@@ -486,54 +468,56 @@ def _mironov_closed(params: dict[str, float], xs: np.ndarray) -> dict[str, np.nd
     }
 
 
-def _mironov_rows(spec: ImmersionSpec, nx: int, ny: int) -> list[TableRow]:
-    xs, ys = grid_points(spec, nx, ny)
-    # x = 0 is the representative point the closed forms are usually quoted at.
-    xs = np.concatenate([[0.0], xs])
-    ys = np.concatenate([[0.0], ys])
-    fr = ChartFrame.of(spec, xs, ys, degree=4)
-    closed = _mironov_closed(spec.params, xs)
-    zeros = np.zeros_like(xs)
-
+def _mironov_table(fr: ChartFrame) -> dict[str, np.ndarray]:
+    closed = _mironov_closed(fr.spec.params, fr.xs)
+    g11, g22, w, a22 = (closed[key] for key in ("g11", "g22", "w", "a22"))
+    zeros = np.zeros_like(fr.xs)
     iFx, iFy = ambient.apply_J(fr.Fx_v), ambient.apply_J(fr.Fy_v)
-    h_comp = np.stack([ambient.real_inner(fr.H, iFx), ambient.real_inner(fr.H, iFy)])
-    return _table_rows([
-        ("metric", np.array([[closed["g11"], zeros], [zeros, closed["g22"]]]), fr.g),
-        ("shape_operator_iFx",
-         np.array([[zeros, closed["w"]], [closed["w"], zeros]]), fr.form(iFx)),
-        ("shape_operator_iFy",
-         np.array([[closed["w"], zeros], [zeros, closed["a22"]]]), fr.form(iFy)),
-        ("mean_curvature_components", np.stack([zeros, closed["h2"]]), h_comp),
-    ])
+    return {
+        "metric": _pair(np.array([[g11, zeros], [zeros, g22]]), fr.g),
+        "shape_operator_iFx": _pair(np.array([[zeros, w], [w, zeros]]), fr.form(iFx)),
+        "shape_operator_iFy": _pair(np.array([[w, zeros], [zeros, a22]]), fr.form(iFy)),
+        "mean_curvature_components": _pair(
+            np.stack([zeros, closed["h2"]]),
+            np.stack([ambient.real_inner(fr.H, iFx), ambient.real_inner(fr.H, iFy)]),
+        ),
+    }
 
 
 def cmd_table(config: RunConfig) -> int:
     spec = config.spec
-    if spec.kind == "calabi":
-        rows = _calabi_rows(spec, config.nx, config.ny)
-        rep = "representative point: first grid node"
-    elif spec.kind == "mironov":
-        rows = _mironov_rows(spec, config.nx, config.ny)
-        rep = "representative point: (x, y) = (0, 0)"
-    else:
+    if spec.kind not in ("calabi", "mironov"):
         raise UnsupportedSurfaceError(
             f"table requires a calabi or mironov surface, got {spec.kind!r}"
         )
+    xs, ys = grid_points(spec, config.nx, config.ny)
+    if spec.kind == "calabi":
+        read, rep = _calabi_table, "representative point: first grid node"
+    else:
+        # x = 0 is the representative point the closed forms are usually quoted at.
+        xs, ys = np.concatenate([[0.0], xs]), np.concatenate([[0.0], ys])
+        read, rep = _mironov_table, "representative point: (x, y) = (0, 0)"
+    # Per row: the values at point 0 and the grid-max |computed - closed|.
+    rows = [
+        (name, closed[..., 0].tolist(), computed[..., 0].tolist(),
+         float(np.max(np.abs(computed - closed))))
+        for name, (closed, computed) in sweep(spec, xs, ys, 4, read).items()
+    ]
     table_checks = {check.name: check for check in checks_in("table", config.checks)}
-    checks = [table_checks[row.name].result(row.deviation) for row in rows]
+    checks = [table_checks[name].result(deviation) for name, _, _, deviation in rows]
     payload = _base_payload(config)
     payload["table"] = [
-        {"name": row.name, "closed_form": row.closed, "computed": row.computed}
-        for row in rows
+        {"name": name, "closed_form": closed, "computed": computed}
+        for name, closed, computed, _ in rows
     ]
     if config.fmt == "text":
         _print_header(config)
         print(rep)
-        for row in rows:
-            print(f"  {row.name}:")
-            print(f"    closed form: {row.closed}")
-            print(f"    computed:    {row.computed}")
-            print(f"    grid-max deviation: {row.deviation:.5e}")
+        for name, closed, computed, deviation in rows:
+            print(f"  {name}:")
+            print(f"    closed form: {closed}")
+            print(f"    computed:    {computed}")
+            print(f"    grid-max deviation: {deviation:.5e}")
     return _finish(checks, config, payload)
 
 
@@ -588,7 +572,11 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--grid", help="evaluation grid as NXxNY (e.g. 32x32)")
     parser.add_argument("--format", choices=("text", "json"), help="report format")
     parser.add_argument("--seed", type=int, help="seed for the sample-point generator")
-    parser.add_argument("--workers", type=int, help="process count for grid sweeps")
+    parser.add_argument(
+        "--workers", type=int,
+        help="processes for verify and classify grid sweeps, at most one per full block of "
+        "4096 grid points (energy and table always run in-process)",
+    )
 
 
 _DISPATCH = {

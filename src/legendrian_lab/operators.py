@@ -29,10 +29,11 @@ one ``[tolerances]`` override sets both.
 Derivative strategy (the accuracy budget everything below leans on):
 
 * Every residual and identity term comes out of the degree-5 jet chain in
-  ``ChartFrame`` with no finite-difference error.  One sweep builds one frame
-  per batch of points.  The two Sasakian checks test the ambient sphere, not
-  the surface: they lift the great-circle parameter as a degree-1 jet and
-  differentiate ``ambient``'s Reeb field and contact-extended J along it.
+  ``ChartFrame`` with no finite-difference error.  ``sweep`` builds one frame
+  per block of at most ``BLOCK_POINTS`` grid points.  The two Sasakian checks
+  test the ambient sphere, not the surface: they lift the great-circle
+  parameter as a degree-1 jet and differentiate ``ambient``'s Reeb field and
+  contact-extended J along it.
 
 * Finite differences are the independent cross-check, not a second engine:
   ``partial_derivative`` (4th-order central differences with step
@@ -82,20 +83,16 @@ SMALL_H = 1e-3
 #: Grid-max |Div(JH)| below this marks a member as csL for gated checks.
 CSL_GATE = 1e-6
 
-#: Fewest grid points a pool worker is started for: below about 1000 points
-#: starting the pool costs more than it saves.  On a 2-core machine (Python
-#: 3.11, numpy 2.4) a mironov sweep took 0.026 s serial and 0.070 s on 2
-#: workers at 256 points, 0.051 s and 0.052 s at 1024, 0.064 s and 0.054 s at
-#: 1600.
-MIN_POINTS_PER_WORKER = 512
-
-#: Widest batch ``willmore_energy`` builds one degree-2 frame for.  Over 12
-#: process histories a 128x128 energy call took a median of 2.2k minor page
-#: faults in 4096-point frames and 12.6k in one frame.  Per round of calabi and
-#: mironov energies at 64x64 then 128x128 (2-core machine, Python 3.11, numpy
-#: 2.4; median/min ms of 15): one frame 126/66, 1024 points 136/123, 2048
-#: 106/94, 4096 105/97, 8192 109/94.
-ENERGY_BLOCK_POINTS = 4096
+#: Widest batch a grid sweep builds one frame for (``sweep``), and the points
+#: per pool worker.  A point's values are bitwise the same in any batch of at
+#: most this many points; from 5,462 points numpy reuses the (3, n) complex
+#: temporary of ``ambient.hermitian_inner`` in place, with the product's
+#: operands swapped, which rounds differently.  On a 2-core machine (Python
+#: 3.11, numpy 2.4) a mironov degree-5 sweep took 0.170 s serial and 0.114 s
+#: on 2 workers at 8192 points, 0.284 s and 0.205 s at 16384; a 128x128
+#: energy call took a median of 2.2k minor page faults in blocks and 12.6k in
+#: one frame.
+BLOCK_POINTS = 4096
 
 
 # -- report containers --------------------------------------------------------
@@ -479,6 +476,44 @@ def identity_suite(
     )
 
 
+# -- the block sweep ------------------------------------------------------------
+
+
+def _read_block(args):
+    """``read`` of one block's frame; the frame is freed on return."""
+    spec, xs, ys, degree, read = args
+    return read(ChartFrame.of(spec, xs, ys, degree))
+
+
+def _pool_size(workers: int, n_points: int) -> int:
+    """Processes started: at most the cores and one per full block, at least one."""
+    return max(1, min(workers, os.cpu_count() or 1, n_points // BLOCK_POINTS))
+
+
+def sweep(
+    spec: ImmersionSpec, xs, ys, degree: int, read, workers: int = 1
+) -> dict[str, np.ndarray]:
+    """``read`` of the frames of consecutive blocks of at most ``BLOCK_POINTS`` nodes.
+
+    ``read``, a module-level function of one ``ChartFrame``, returns a dict of
+    arrays with the batch axis last.  Only those are kept, each frame is freed
+    before the next block's is built, and they are concatenated in block
+    order.  With ``workers`` > 1 a pool of ``_pool_size`` processes maps the
+    same blocks, so serial and pooled results are the same blocks' values.
+    """
+    blocks = [
+        (spec, xs[lo : lo + BLOCK_POINTS], ys[lo : lo + BLOCK_POINTS], degree, read)
+        for lo in range(0, xs.size, BLOCK_POINTS)
+    ]
+    workers = _pool_size(workers, xs.size)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_read_block, blocks))
+    else:
+        parts = list(map(_read_block, blocks))
+    return {key: np.concatenate([p[key] for p in parts], axis=-1) for key in parts[0]}
+
+
 # -- energy -------------------------------------------------------------------
 
 
@@ -506,6 +541,10 @@ def _quadrature(spec: ImmersionSpec, nx: int, ny: int):
     return xs, ys, (xw, yw)
 
 
+def _energy_terms(fr: ChartFrame) -> dict[str, np.ndarray]:
+    return {"det_g": fr.det_g, "norm_H_sq": fr.norm_H_sq}
+
+
 def willmore_energy(spec: ImmersionSpec, grid: tuple[int, int] = (64, 64)):
     """(area, energy) per chart rectangle by ``_quadrature``'s rule.
 
@@ -514,33 +553,25 @@ def willmore_energy(spec: ImmersionSpec, grid: tuple[int, int] = (64, 64)):
     the unit sphere.  ``grid`` gives the nodes per axis.  Summation via
     math.fsum in a fixed order, so results are bit-stable.
 
-    Nodes are swept in blocks of ``ENERGY_BLOCK_POINTS``, one frame each,
-    freed before the next is built.  Point values do not depend on the batch
-    and fsum is correctly rounded, so the sums are bitwise those of one
-    whole-grid frame; an evaluation error names the worst point of its block.
-    The flat weights are formed only after the sweep.
+    The nodes go through ``sweep`` in-process, one degree-2 frame per block.
+    det g and |H|^2 do not depend on the batch and fsum is correctly rounded,
+    so the sums are bitwise those of one whole-grid frame.  The flat weights
+    are formed only after the sweep.
     """
     xs, ys, (xw, yw) = _quadrature(spec, *grid)
-    blocks = []
-    for lo in range(0, xs.size, ENERGY_BLOCK_POINTS):
-        block = slice(lo, lo + ENERGY_BLOCK_POINTS)
-        fr = ChartFrame.of(spec, xs[block], ys[block], degree=2)
-        blocks.append((fr.det_g, fr.norm_H_sq))
-        del fr  # its jets are freed before the next block's are built
-    det_g, norm_H_sq = map(np.concatenate, zip(*blocks))
+    terms = sweep(spec, xs, ys, 2, _energy_terms)
     w2 = np.outer(xw, yw).ravel()
-    sd = np.sqrt(det_g)
+    sd = np.sqrt(terms["det_g"])
     area = math.fsum((w2 * sd).tolist())
-    energy = math.fsum((w2 * sd * (0.25 * norm_H_sq + 1.0)).tolist())
+    energy = math.fsum((w2 * sd * (0.25 * terms["norm_H_sq"] + 1.0)).tolist())
     return area, energy
 
 
 # -- grid verification --------------------------------------------------------
 
 
-def _grid_residuals(spec: ImmersionSpec, xs, ys) -> dict[str, np.ndarray]:
-    """Per-point residual magnitudes used by the verify command."""
-    fr = ChartFrame.of(spec, xs, ys, degree=5)
+def _residual_maps(fr: ChartFrame) -> dict[str, np.ndarray]:
+    """Per-point residual magnitudes of one frame, read by the grid and classify rows."""
     return {
         "legendrian_defect": legendrian_defect(fr.F),
         "csl_residual": np.abs(fr.div_JH),
@@ -551,44 +582,18 @@ def _grid_residuals(spec: ImmersionSpec, xs, ys) -> dict[str, np.ndarray]:
     }
 
 
-def _grid_chunk(args):
-    spec, xs, ys = args
-    return _grid_residuals(spec, xs, ys)
-
-
-def _pool_size(workers: int, n_points: int) -> int:
-    """Processes actually started: never more than the cores, nor more than
-    one per ``MIN_POINTS_PER_WORKER`` points, and at least one."""
-    return max(1, min(workers, os.cpu_count() or 1, n_points // MIN_POINTS_PER_WORKER))
-
-
 def grid_residuals(
     spec: ImmersionSpec, nx: int, ny: int, workers: int = 1
 ) -> dict[str, np.ndarray]:
-    """Residual maps on the half-offset nx-by-ny grid, optionally in parallel.
+    """Residual maps on the half-offset nx-by-ny grid: ``sweep`` of degree-5 frames.
 
-    Chunks are split by contiguous index ranges and reassembled in submission
-    order, so the result is identical for any worker count.  The pool is
-    clamped to the core count and to ``MIN_POINTS_PER_WORKER`` points per
-    worker.
+    The maps are the same for any worker count; the pool starts only at two
+    full blocks.
     """
     if nx < 4 or ny < 4:
         raise GridError(f"verification grid {nx}x{ny} too small (need >= 4 per axis)")
     xs, ys = grid_points(spec, nx, ny)
-    workers = _pool_size(workers, xs.size)
-    if workers <= 1:
-        return _grid_residuals(spec, xs, ys)
-    bounds = np.linspace(0, xs.size, workers + 1).astype(int)
-    chunks = [
-        (spec, xs[a:b], ys[a:b])
-        for a, b in zip(bounds[:-1], bounds[1:])
-        if b > a
-    ]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_grid_chunk, chunks))
-    return {
-        key: np.concatenate([p[key] for p in parts]) for key in parts[0]
-    }
+    return sweep(spec, xs, ys, 5, _residual_maps, workers)
 
 
 def run_verification(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import ALL_MEMBERS, CONTROL, build_members
-from legendrian_lab import ambient, geometry, jets, operators, surfaces
+from legendrian_lab import ambient, cli, geometry, jets, operators, surfaces
 from legendrian_lab.errors import GridError, StencilOutOfDomainError
 
 TWO_PI = 2.0 * math.pi
@@ -250,12 +250,9 @@ def test_energy_equals_area_for_minimal_surfaces():
     assert energy == area
 
 
-@pytest.mark.parametrize(
-    "spec, grid", [(CALABI, (128, 128)), (surfaces.geodesic_sphere(), (70, 90))]
-)
-def test_willmore_energy_in_blocks_is_bitwise_one_whole_grid_frame(monkeypatch, spec, grid):
-    # 128x128 is four full blocks.  70x90 ends in a partial block and puts
-    # Gauss-Legendre nodes on its non-periodic x axis.
+@pytest.fixture
+def frame_widths(monkeypatch):
+    """The width of every frame that ``operators`` builds, in order."""
     widths = []
 
     class RecordedFrame(geometry.ChartFrame):
@@ -264,9 +261,18 @@ def test_willmore_energy_in_blocks_is_bitwise_one_whole_grid_frame(monkeypatch, 
             super().__init__(F, xs, ys, degree)
 
     monkeypatch.setattr(operators, "ChartFrame", RecordedFrame)
+    return widths
+
+
+@pytest.mark.parametrize(
+    "spec, grid", [(CALABI, (128, 128)), (surfaces.geodesic_sphere(), (70, 90))]
+)
+def test_willmore_energy_in_blocks_is_bitwise_one_whole_grid_frame(frame_widths, spec, grid):
+    # 128x128 is four full blocks.  70x90 ends in a partial block and puts
+    # Gauss-Legendre nodes on its non-periodic x axis.
     area, energy = operators.willmore_energy(spec, grid)
-    assert max(widths) <= operators.ENERGY_BLOCK_POINTS
-    assert sum(widths) == grid[0] * grid[1] and len(widths) > 1
+    assert max(frame_widths) <= operators.BLOCK_POINTS
+    assert sum(frame_widths) == grid[0] * grid[1] and len(frame_widths) > 1
 
     def axis_nodes(axis, m):
         lo, hi = spec.chart_domain[axis]
@@ -298,14 +304,39 @@ def test_stencils_refuse_to_leave_non_periodic_charts():
         )
 
 
-def test_grid_residuals_are_worker_count_independent(monkeypatch):
-    # 64 points are too few for a second worker; lift the minimum so that
-    # the pool really runs.
-    monkeypatch.setattr(operators, "MIN_POINTS_PER_WORKER", 1)
-    serial = operators.grid_residuals(CALABI, 8, 8, workers=1)
-    parallel = operators.grid_residuals(CALABI, 8, 8, workers=2)
-    for key, values in serial.items():
-        assert np.array_equal(values, parallel[key]), key
+@pytest.mark.parametrize(
+    "command, surface, n_points",
+    [
+        ("grid_residuals", "mironov", 96 * 64),
+        ("table", "calabi", 96 * 64),
+        ("table", "mironov", 96 * 64 + 1),
+    ],
+)
+def test_no_grid_frame_is_wider_than_one_block(frame_widths, capsys, command, surface, n_points):
+    # 96x64 is one full block and a partial one; mironov's table prepends
+    # its representative point (0, 0).  verify and classify sweep through
+    # grid_residuals, energy is held above.
+    if command == "grid_residuals":
+        operators.grid_residuals(surfaces.surface_by_name(surface), 96, 64)
+    else:
+        assert cli.main([command, "--surface", surface, "--grid", "96x64"]) == 0
+        capsys.readouterr()
+    assert max(frame_widths) <= operators.BLOCK_POINTS
+    assert sum(frame_widths) == n_points and len(frame_widths) == 2
+
+
+def test_grid_residuals_are_worker_count_independent():
+    # 128x64 is two full blocks, so two workers really start, and the pooled
+    # maps are bitwise the serial ones.
+    for spec in (MIRONOV, CONTROL):
+        serial = operators.grid_residuals(spec, 128, 64, workers=1)
+        parallel = operators.grid_residuals(spec, 128, 64, workers=2)
+        for key, values in serial.items():
+            assert np.array_equal(values, parallel[key]), (spec.label, key)
+
+
+def _residual_maps(spec, xs, ys):
+    return operators._residual_maps(geometry.ChartFrame.of(spec, xs, ys, degree=5))
 
 
 @pytest.mark.parametrize("name", ["mironov", "control"])
@@ -313,40 +344,38 @@ def test_grid_residuals_do_not_depend_on_the_batch(name):
     # Bitwise, every point's residuals are the same in the whole 16x16 batch,
     # in contiguous sub-batches of 7 and 64 points, in one-point batches
     # (every 17th point, to keep the test fast) and for one point alone as
-    # scalars.  So they cannot depend on how the pool splits the grid either.
+    # scalars.  So they cannot depend on how a grid is cut into blocks either.
     spec = MIRONOV if name == "mironov" else CONTROL
     xs, ys = surfaces.grid_points(spec, 16, 16)
-    whole = operators._grid_residuals(spec, xs, ys)
+    whole = _residual_maps(spec, xs, ys)
     for size in (7, 64):
         parts = [
-            operators._grid_residuals(spec, xs[a : a + size], ys[a : a + size])
+            _residual_maps(spec, xs[a : a + size], ys[a : a + size])
             for a in range(0, xs.size, size)
         ]
         for key, values in whole.items():
             assert np.array_equal(np.concatenate([p[key] for p in parts]), values), (size, key)
     for i in range(0, xs.size, 17):
-        single = operators._grid_residuals(spec, xs[i : i + 1], ys[i : i + 1])
+        single = _residual_maps(spec, xs[i : i + 1], ys[i : i + 1])
         for key, values in whole.items():
             assert np.array_equal(single[key], values[i : i + 1]), (i, key)
-    alone = operators._grid_residuals(spec, xs[100], ys[100])
+    alone = _residual_maps(spec, xs[100], ys[100])
     for key, values in whole.items():
         assert np.shape(alone[key]) == () and alone[key] == values[100], key
 
 
 def test_pool_size_is_clamped_to_cores_and_points():
-    # Pure function: a huge request is never launched, only sized.
+    # Pure function: a huge request is never launched, only sized.  One
+    # worker per full block, so a 64x64 sweep (4096 points) runs in-process.
     cores = os.cpu_count() or 1
-    per_worker = operators.MIN_POINTS_PER_WORKER
-    assert operators._pool_size(10**9, 4096) == min(cores, 4096 // per_worker)
+    block = operators.BLOCK_POINTS
+    assert operators._pool_size(10**9, 4096) == 1
+    assert operators._pool_size(10**9, 2 * block - 1) == 1
+    assert operators._pool_size(10**9, 2 * block) == min(cores, 2)
+    assert operators._pool_size(10**9, 10**9) == cores
     assert operators._pool_size(10**9, 1) == 1
-    assert operators._pool_size(1, 4096) == 1
-    # Small grids skip the pool: a 16x16 sweep never starts a worker, nor does
-    # any grid with fewer than MIN_POINTS_PER_WORKER points for a second one.
+    assert operators._pool_size(1, 10**9) == 1
     assert operators._pool_size(2, 256) == 1
-    assert operators._pool_size(10**9, 2 * per_worker - 1) == 1
-    assert operators._pool_size(10**9, 2 * per_worker) == min(cores, 2)
-    # mironov at 64x64 (4096 points) still gets 2 workers.
-    assert operators._pool_size(2, 4096) == min(cores, 2)
 
 
 def test_run_verification_bundles_grid_and_identity_checks():
@@ -509,7 +538,7 @@ def test_each_frame_makes_its_shared_jet_products_once(monkeypatch):
     monkeypatch.setattr(jets.Jet2, "reciprocal", counted_reciprocal)
     monkeypatch.setattr(jets, "_product", counted_product)
     xs, ys = surfaces.grid_points(MIRONOV, 16, 16)
-    operators._grid_residuals(MIRONOV, xs, ys)
+    _residual_maps(MIRONOV, xs, ys)
     assert calls["reciprocal"] == 2
     assert calls["product"] <= 126
 
