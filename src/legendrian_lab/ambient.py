@@ -24,8 +24,10 @@ direction, so it does not restrict to the sphere).
 
 Vectors are numpy arrays of shape ``(3,)`` (complex); every function also
 accepts stacked arrays of shape ``(3, ...)`` and maps over the trailing axes,
-and jet-vectors (tuples of three ``Jet2``), for which pairings return a jet:
-so jets differentiate this very algebra, as the Sasakian checks do.
+and jet-vectors (one ``Jet2`` whose batch starts with the three components),
+for which pairings return a jet: so jets differentiate this very algebra, as
+the Sasakian checks do.  Each formula is written once, for arrays and jets
+alike.
 """
 
 from __future__ import annotations
@@ -35,19 +37,15 @@ import numpy as np
 from .jets import Jet2
 
 
-def _componentwise(f, *vectors):
-    """``f`` on the stacked arrays, or per component of jet-vectors."""
-    if isinstance(vectors[0][0], Jet2):
-        return tuple(f(*parts) for parts in zip(*vectors))
-    return f(*(np.asarray(v) for v in vectors))
-
-
 def hermitian_inner(u, v) -> complex | np.ndarray | Jet2:
-    """Hermitian product sum_k u_k * conj(v_k) (linear in the first slot)."""
-    if isinstance(u[0], Jet2):
-        (u0, u1, u2), (v0, v1, v2) = u, v
-        return u0 * v0.conjugate() + u1 * v1.conjugate() + u2 * v2.conjugate()
-    return np.sum(np.asarray(u) * np.conj(v), axis=0)
+    """Hermitian product sum_k u_k * conj(v_k) (linear in the first slot).
+
+    On arrays the explicit ufunc call gets no in-place temporary, so a
+    point's value does not depend on the batch it sits in.
+    """
+    if isinstance(u, Jet2):
+        return (u * v.conjugate()).component_sum()
+    return np.sum(np.multiply(u, np.conj(v)), axis=0)
 
 
 def real_inner(u, v) -> float | np.ndarray | Jet2:
@@ -56,27 +54,26 @@ def real_inner(u, v) -> float | np.ndarray | Jet2:
     return h.real_part() if isinstance(h, Jet2) else np.real(h)
 
 
-def apply_J(v) -> np.ndarray | tuple[Jet2, ...]:
-    """Multiplication by the imaginary unit, componentwise."""
-    return _componentwise(lambda c: 1j * c, v)
+def apply_J(v) -> np.ndarray | Jet2:
+    """Multiplication by the imaginary unit."""
+    return 1j * v
 
 
-def reeb(p) -> np.ndarray | tuple[Jet2, ...]:
+def reeb(p) -> np.ndarray | Jet2:
     """Reeb field R(p) = -i p, the convention of the catalog's moving frames."""
-    return _componentwise(lambda c: -1j * c, p)
+    return -1j * p
 
 
-def contact_projection(p, v) -> np.ndarray | tuple[Jet2, ...]:
+def contact_projection(p, v) -> np.ndarray | Jet2:
     """Component of a tangent vector in the contact hyperplane.
 
     Assumes v is tangent at p; returns v - alpha(v) * R(p).
     """
     r = reeb(p)
-    alpha = real_inner(v, r)
-    return _componentwise(lambda vk, rk: vk - alpha * rk, v, r)
+    return v - real_inner(v, r) * r
 
 
-def contact_extended_J(p, v) -> np.ndarray | tuple[Jet2, ...]:
+def contact_extended_J(p, v) -> np.ndarray | Jet2:
     """Sasakian endomorphism: J on the contact plane, zero on the Reeb line.
 
     For tangent v this is J(v - alpha(v) R); unlike plain multiplication by i

@@ -42,22 +42,9 @@ from .surfaces import ImmersionSpec, evaluate_jet_batch, wrap_point
 DET_TOL = 1e-12
 
 
-# -- jet-vector helpers ------------------------------------------------------
-# An ambient vector field along the surface is a tuple of three Jet2, a
-# jet-vector; ``ambient``'s pairings and J accept it as they are.
-
-
-def jv_dx(F):
-    return tuple(f.dx() for f in F)
-
-
-def jv_dy(F):
-    return tuple(f.dy() for f in F)
-
-
-def values(F) -> np.ndarray:
-    """Stack the values of a jet-vector into shape (3, *batch)."""
-    return np.stack([np.asarray(f.value) for f in F])
+# -- jet helpers -------------------------------------------------------------
+# An ambient vector field along the surface is a jet-vector (see ``jets``):
+# its ``value`` is the (3, *batch) array that the value-level code reads.
 
 
 def _real(f) -> np.ndarray:
@@ -87,9 +74,17 @@ def legendrian_defect(F) -> np.ndarray:
     contact-form component through its imaginary part.  Needs jets of
     degree >= 1.
     """
-    p = values(F)
-    tangency = [np.abs(ambient.hermitian_inner(values(Fi), p)) for Fi in (jv_dx(F), jv_dy(F))]
+    p = F.value
+    tangency = [np.abs(ambient.hermitian_inner(Fi.value, p)) for Fi in (F.dx(), F.dy())]
     return np.maximum(*tangency) + np.abs(ambient.real_inner(p, p) - 1.0)
+
+
+def _normal(V, g_inv, Fx, Fy, F):
+    """V minus its tangential and radial parts, from g^ij, F_x, F_y and F:
+    all jets (V a jet-vector) or all values (V a stacked array)."""
+    w = [ambient.real_inner(V, Fj) for Fj in (Fx, Fy)]
+    c = [g_inv[i][0] * w[0] + g_inv[i][1] * w[1] for i in range(2)]
+    return V - c[0] * Fx - c[1] * Fy - ambient.real_inner(V, F) * F
 
 
 def _symmetric(entry):
@@ -156,12 +151,12 @@ class ChartFrame:
     """Jet-exact geometric chain of the immersion jets F over a batch of chart points.
 
     ``ChartFrame(F, xs, ys, degree)`` evaluates nothing: it truncates the
-    component jets F at (xs, ys), of degree ``degree`` or higher, to
-    ``degree``.  ``ChartFrame.of`` evaluates a spec first.  Degree 5 gives
-    everything, including the fourth-order terms (``laplace_div_JH``,
-    ``div_JB_JH_JH``, ``csl_willmore_residual``); 4 gives everything of third
-    order (the Willmore operator, ``laplace_JH``, ``normal_laplacian_H``, the
-    cubic-form partials); 2 is enough for the metric, B, H, JH, cubic form.
+    jet-vector F at (xs, ys), of degree ``degree`` or higher, to ``degree``.
+    ``ChartFrame.of`` evaluates a spec first.  Degree 5 gives everything,
+    including the fourth-order terms (``laplace_div_JH``, ``div_JB_JH_JH``,
+    ``csl_willmore_residual``); 4 gives everything of third order (the
+    Willmore operator, ``laplace_JH``, ``normal_laplacian_H``, the cubic-form
+    partials); 2 is enough for the metric, B, H, JH, cubic form.
     Properties are cached; all arrays put chart indices first and batch axes
     last.
 
@@ -178,7 +173,7 @@ class ChartFrame:
         self.xs = np.asarray(xs, dtype=float)
         self.ys = np.asarray(ys, dtype=float)
         self.degree = degree
-        self.F = tuple(f.truncate(degree) for f in F)  # ERR_DEGREE if F is too shallow
+        self.F = F.truncate(degree)  # ERR_DEGREE if F is too shallow
 
     @classmethod
     def of(cls, spec: ImmersionSpec, xs, ys, degree: int = 4) -> ChartFrame:
@@ -191,12 +186,12 @@ class ChartFrame:
     # --- first derivatives and metric ---
 
     @cached_property
-    def Fx(self):
-        return jv_dx(self.F)
+    def Fx(self) -> Jet2:
+        return self.F.dx()
 
     @cached_property
-    def Fy(self):
-        return jv_dy(self.F)
+    def Fy(self) -> Jet2:
+        return self.F.dy()
 
     @cached_property
     def gj(self):
@@ -274,32 +269,27 @@ class ChartFrame:
     def B_j(self):
         """Second-fundamental-form jets B_j[i][j] (jet-vectors)."""
         Fx, Fy = self.Fx, self.Fy
-        F2 = ((jv_dx(Fx), jv_dy(Fx)), (jv_dx(Fy), jv_dy(Fy)))
-        F = tuple(f.truncate(self.degree - 2) for f in self.F)  # g_ij F at B's degree
+        d = ((Fx.dx, Fx.dy), (Fy.dx, Fy.dy))  # F_ij, taken as each entry is built
+        F = self.F.truncate(self.degree - 2)  # g_ij F at B's degree
         gm, gj = self.gamma_j, self.gj
-        return _symmetric(lambda i, j: tuple(
-            F2[i][j][m] - gm[0][i][j] * Fx[m] - gm[1][i][j] * Fy[m] + gj[i][j] * F[m]
-            for m in range(3)
-        ))
+        return _symmetric(
+            lambda i, j: d[i][j]() - gm[0][i][j] * Fx - gm[1][i][j] * Fy + gj[i][j] * F
+        )
 
     @cached_property
     def B(self) -> np.ndarray:
-        return np.array([[values(b) for b in row] for row in self.B_j])
+        return np.array([[b.value for b in row] for row in self.B_j])
 
     @cached_property
     def H_j(self):
         """Mean-curvature jet-vector H = g^{ij} B_ij."""
         ginv, B = self.ginv_j, self.B_j
-        xx, xy, yy = (tuple(ginv[i][j] * b for b in B[i][j]) for i, j in ((0, 0), (0, 1), (1, 1)))
-        return tuple(a + b + b + c for a, b, c in zip(xx, xy, yy))
+        xy = ginv[0][1] * B[0][1]
+        return ginv[0][0] * B[0][0] + xy + xy + ginv[1][1] * B[1][1]
 
     @cached_property
     def H(self) -> np.ndarray:
-        return values(self.H_j)
-
-    @cached_property
-    def JH_j(self):
-        return ambient.apply_J(self.H_j)
+        return self.H_j.value
 
     @cached_property
     def norm_H_sq_j(self) -> Jet2:
@@ -348,8 +338,8 @@ class ChartFrame:
     @cached_property
     def omega_j(self):
         """Jets of the one-form omega_i = real_inner(JH, F_i)."""
-        Fi = (self.Fx, self.Fy)
-        return [ambient.real_inner(self.JH_j, Fi[i]) for i in range(2)]
+        JH = ambient.apply_J(self.H_j)
+        return [ambient.real_inner(JH, Fi) for Fi in (self.Fx, self.Fy)]
 
     @cached_property
     def d_omega(self) -> np.ndarray:
@@ -442,7 +432,7 @@ class ChartFrame:
     @cached_property
     def sigma_chart_j(self):
         """Jets of sigma_ijk = real_inner(B_ij, J F_k) in chart indices, to first order."""
-        JF = [ambient.apply_J(tuple(f.truncate(1) for f in F)) for F in (self.Fx, self.Fy)]
+        JF = [ambient.apply_J(F.truncate(1)) for F in (self.Fx, self.Fy)]
         B = self.B_j
         return _symmetric(lambda i, j: [ambient.real_inner(B[i][j], JF[k]) for k in range(2)])
 
@@ -461,13 +451,15 @@ class ChartFrame:
         a = [c.truncate(self.degree - 4) for c in self.a_j]
         B = self.B_j
         xx, xy, yy = a[0] * a[0], a[0] * a[1], a[1] * a[1]
-        off = [xy * b for b in B[0][1]]
-        return tuple(xx * B[0][0][m] + off[m] + off[m] + yy * B[1][1][m] for m in range(3))
+        off = xy * B[0][1]
+        return xx * B[0][0] + off + off + yy * B[1][1]
 
     @cached_property
     def div_JB_JH_JH(self) -> np.ndarray:
-        """Div(J B(JH, JH)) of the tangential part."""
-        return self._div_field(ambient.apply_J(self.B_JH_JH_j))
+        """Div(J B(JH, JH)) of the tangential part, g^{ij} real_inner(J B(JH, JH), F_j)."""
+        JB = ambient.apply_J(self.B_JH_JH_j)
+        tangent = self._raise_j([ambient.real_inner(JB, Fj) for Fj in (self.Fx, self.Fy)])
+        return _real(self._divergence_j(tangent))
 
     @cached_property
     def willmore(self) -> np.ndarray:
@@ -481,7 +473,7 @@ class ChartFrame:
         gd = self.grad_div_JH
         return (
             (gd[0] * self.Fx_v + gd[1] * self.Fy_v) * -1j
-            + values(self.B_JH_JH_j)
+            + self.B_JH_JH_j.value
             - self.norm_H_sq * self.H * 0.5
             + self.div_JH * self.F_v * 2j
         ) * 0.5
@@ -493,15 +485,16 @@ class ChartFrame:
         nabla^nu is the normal part of the chart derivative: it drops the
         tangential and the radial (sphere) components.
         """
-        H = tuple(h.truncate(2) for h in self.H_j)  # dH is read to first order
-        dH = [self._normal_j(jv_dx(H)), self._normal_j(jv_dy(H))]
-        dH_v = [values(v) for v in dH]
+        H = self.H_j.truncate(2)  # dH is read to first order
+        on_jets = (self.ginv_j, self.Fx, self.Fy, self.F)
+        on_values = (self.g_inv, self.Fx_v, self.Fy_v, self.F_v)
+        dH = [_normal(H.dx(), *on_jets), _normal(H.dy(), *on_jets)]
         out = 0.0
-        for i, d_i in enumerate((jv_dx, jv_dy)):
+        for i, d_i in enumerate((Jet2.dx, Jet2.dy)):
             for j in range(2):
-                second = self._normal_v(values(d_i(dH[j])))
+                second = _normal(d_i(dH[j]).value, *on_values)
                 for k in range(2):
-                    second = second - self.gamma[k, i, j] * dH_v[k]
+                    second = second - self.gamma[k, i, j] * dH[k].value
                 out = out + self.g_inv[i, j] * second
         return out
 
@@ -548,46 +541,24 @@ class ChartFrame:
         ginv = self.ginv_j
         return [ginv[i][0] * w[0] + ginv[i][1] * w[1] for i in range(2)]
 
-    def _tangent_j(self, V):
-        """Chart components g^{ij} real_inner(V, F_j) of an ambient jet-vector V."""
-        return self._raise_j([ambient.real_inner(V, Fj) for Fj in (self.Fx, self.Fy)])
-
-    def _normal_j(self, V):
-        """V minus its tangential and radial parts (jet-vector)."""
-        c, r = self._tangent_j(V), ambient.real_inner(V, self.F)
-        return tuple(
-            V[m] - c[0] * self.Fx[m] - c[1] * self.Fy[m] - r * self.F[m] for m in range(3)
-        )
-
-    def _normal_v(self, V) -> np.ndarray:
-        """Values of ``_normal_j`` for a stacked ambient vector V of values."""
-        g_inv, Fx, Fy = self.g_inv, self.Fx_v, self.Fy_v
-        w = [ambient.real_inner(V, Fj) for Fj in (Fx, Fy)]
-        c = [g_inv[i, 0] * w[0] + g_inv[i, 1] * w[1] for i in range(2)]
-        return V - c[0] * Fx - c[1] * Fy - ambient.real_inner(V, self.F_v) * self.F_v
-
     def _divergence_j(self, c) -> Jet2:
         """Jet of (1/sqrt g) d_i (sqrt g c^i) for chart components c^i (one degree lower)."""
         s = self.sqrt_det_j
         return ((s * c[0]).dx() + (s * c[1]).dy()) * self.inv_sqrt_det_j
 
-    def _div_field(self, V) -> np.ndarray:
-        """Divergence values of the tangential part of an ambient jet-vector V."""
-        return _real(self._divergence_j(self._tangent_j(V)))
-
     # --- frame values ---
 
     @cached_property
     def F_v(self) -> np.ndarray:
-        return values(self.F)
+        return self.F.value
 
     @cached_property
     def Fx_v(self) -> np.ndarray:
-        return values(self.Fx)
+        return self.Fx.value
 
     @cached_property
     def Fy_v(self) -> np.ndarray:
-        return values(self.Fy)
+        return self.Fy.value
 
     @cached_property
     def frame_change(self) -> np.ndarray:

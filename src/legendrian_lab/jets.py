@@ -13,9 +13,14 @@ Storage is a dense triangular array in graded-lexicographic order
     1, x, y, x^2, xy, y^2, x^3, x^2 y, ...
 
 so index(j, k) = (j+k)(j+k+1)/2 + k and truncating to a lower degree is a
-contiguous slice.  The coefficient array may carry extra trailing axes: a jet
-of shape (ncoef, n) is n independent jets evaluated in one numpy pass, which
-is how grids and stencils stay fast.
+contiguous slice.  The coefficient array may carry extra trailing axes, the
+batch: a jet of shape (ncoef, n) is n independent jets evaluated in one numpy
+pass, which is how grids and stencils stay fast.  A jet-vector (an ambient
+vector field) is one jet whose batch starts with its three components, so its
+``value`` is the (3, n) array the value-level code reads.  Arithmetic
+broadcasts batch axes, right-aligned, and never the coefficient axis: an
+ndarray operand is batch-shaped, batch shapes that do not broadcast raise, and
+numpy defers to ``Jet2`` (``ndarray - jet`` is the jet's ``__rsub__``).
 
 Expansion points are the caller's bookkeeping (they are not stored): combining
 jets is only meaningful when the operands share the same expansion point.
@@ -131,15 +136,29 @@ def _dtype(values) -> type:
     return complex if np.iscomplexobj(values) else float
 
 
+def _aligned(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two coefficient arrays, their batch axes right-aligned behind the coefficient axis."""
+    ndim = max(a.ndim, b.ndim)
+    return tuple(c.reshape(c.shape[:1] + (1,) * (ndim - c.ndim) + c.shape[1:]) for c in (a, b))
+
+
+def _with_operand(coeffs: np.ndarray, other):
+    """``coeffs`` and a non-jet operand; an ndarray operand is one batch-shaped row."""
+    if isinstance(other, np.ndarray) and other.ndim:
+        return _aligned(coeffs, other[np.newaxis])
+    return coeffs, other
+
+
 def _product(a: np.ndarray, b: np.ndarray, degree: int) -> np.ndarray:
     """Coefficients of the truncated product of two degree-``degree`` jets.
 
     Each output row is accumulated in place, one term a_i b_j at a time in
     the order of ``_MUL_TERMS``; every operand is a row view, so nothing is
-    gathered and the temporaries are one row high.
+    gathered and the temporaries are one row high.  The batch shapes broadcast.
     """
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
-    term = np.empty(out.shape[1:], out.dtype)
+    batch = np.broadcast_shapes(a.shape[1:], b.shape[1:])
+    out = np.empty(a.shape[:1] + batch, np.result_type(a, b))
+    term = np.empty(batch, out.dtype)
     a_rows, b_rows = list(a), list(b)
     for o, ((i, j), *rest) in enumerate(_MUL_TERMS[degree]):
         row = out[o, ...]  # a view, also when there are no batch axes
@@ -173,6 +192,7 @@ class Jet2:
     """
 
     __slots__ = ("degree", "coeffs")
+    __array_ufunc__ = None
 
     def __init__(self, degree: int, coeffs: np.ndarray):
         _check_degree(degree)
@@ -204,6 +224,11 @@ class Jet2:
             return self
         return Jet2(degree, self.coeffs[: _ncoef(degree)])
 
+    def component_sum(self) -> "Jet2":
+        """The jet of f_0 + f_1 + f_2 of a jet-vector, summed in that order."""
+        c = self.coeffs
+        return Jet2(self.degree, c[:, 0] + c[:, 1] + c[:, 2])
+
     # -- ring operations -------------------------------------------------
 
     def _binary_pair(self, other: "Jet2") -> tuple["Jet2", "Jet2"]:
@@ -216,7 +241,7 @@ class Jet2:
             c[0] = c[0] + other
             return Jet2(self.degree, c)
         a, b = self._binary_pair(other)
-        return Jet2(a.degree, a.coeffs + b.coeffs)
+        return Jet2(a.degree, np.add(*_aligned(a.coeffs, b.coeffs)))
 
     __radd__ = __add__
 
@@ -227,14 +252,14 @@ class Jet2:
         if not isinstance(other, Jet2):
             return self + (-other)
         a, b = self._binary_pair(other)
-        return Jet2(a.degree, a.coeffs - b.coeffs)
+        return Jet2(a.degree, np.subtract(*_aligned(a.coeffs, b.coeffs)))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, Jet2):
-            return Jet2(self.degree, self.coeffs * other)
+            return Jet2(self.degree, np.multiply(*_with_operand(self.coeffs, other)))
         a, b = self._binary_pair(other)
         return Jet2(a.degree, _product(a.coeffs, b.coeffs, a.degree))
 
@@ -259,7 +284,7 @@ class Jet2:
         if not isinstance(other, Jet2):
             if np.any(np.abs(other) <= DIVIDE_TOL):
                 raise DivideByZeroJetError(f"scalar divisor of magnitude <= {DIVIDE_TOL:g}", None)
-            return Jet2(self.degree, self.coeffs / other)
+            return Jet2(self.degree, np.divide(*_with_operand(self.coeffs, other)))
         a, b = self._binary_pair(other)
         return a * b.reciprocal()
 
@@ -317,6 +342,11 @@ def constant(value, degree: int, batch_shape: tuple[int, ...] = ()) -> Jet2:
     c = np.zeros((_ncoef(degree),) + shape, dtype=value.dtype)
     c[0] = value
     return Jet2(degree, c)
+
+
+def vector(f0: Jet2, f1: Jet2, f2: Jet2) -> Jet2:
+    """The jet-vector of three component jets of one degree and batch shape."""
+    return Jet2(f0.degree, np.stack((f0.coeffs, f1.coeffs, f2.coeffs), axis=1))
 
 
 def lift_point(x0, y0, degree: int) -> tuple[Jet2, Jet2]:

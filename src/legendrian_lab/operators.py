@@ -68,7 +68,7 @@ import numpy as np
 
 from . import ambient, jets
 from .errors import GridError, StencilOutOfDomainError
-from .geometry import ChartFrame, brioschi, jv_dx, legendrian_defect, values
+from .geometry import ChartFrame, brioschi, legendrian_defect
 from .surfaces import ImmersionSpec, grid_points, sample_points
 
 #: Base finite-difference step scale: h = FD_H_SCALE * (1 + |coordinate|).
@@ -84,14 +84,12 @@ SMALL_H = 1e-3
 CSL_GATE = 1e-6
 
 #: Widest batch a grid sweep builds one frame for (``sweep``), and the points
-#: per pool worker.  A point's values are bitwise the same in any batch of at
-#: most this many points; from 5,462 points numpy reuses the (3, n) complex
-#: temporary of ``ambient.hermitian_inner`` in place, with the product's
-#: operands swapped, which rounds differently.  On a 2-core machine (Python
-#: 3.11, numpy 2.4) a mironov degree-5 sweep took 0.170 s serial and 0.114 s
-#: on 2 workers at 8192 points, 0.284 s and 0.205 s at 16384; a 128x128
-#: energy call took a median of 2.2k minor page faults in blocks and 12.6k in
-#: one frame.
+#: per pool worker.  Blocks bound memory only: a point's values do not depend
+#: on the batch it sits in, and one whole 8,192-point frame reads bitwise the
+#: maps of its two blocks.  On a 2-core machine (Python 3.11, numpy 2.4) a
+#: mironov degree-5 sweep took 0.170 s serial and 0.114 s on 2 workers at
+#: 8192 points, 0.284 s and 0.205 s at 16384; a 128x128 energy call took a
+#: median of 2.2k minor page faults in blocks and 12.6k in one frame.
 BLOCK_POINTS = 4096
 
 
@@ -301,14 +299,13 @@ def _great_circle(fr):
     jet-vector of degree 1 in t at t = 0 (t rides on the jets' x slot)."""
     zeros = np.zeros(fr.xs.size)
     t, _ = jets.lift_point(zeros, zeros, 1)
-    cos_t, sin_t = jets.cos(t), jets.sin(t)
-    return tuple(cos_t * p + sin_t * x for p, x in zip(fr.F_v, fr.e1))
+    return jets.cos(t) * fr.F_v + jets.sin(t) * fr.e1
 
 
 def _covariant_d(p, V) -> np.ndarray:
     """Sphere derivative at t = 0 of the jet-vector V along the great circle:
     the exact t-derivative less its radial part at p (Gauss formula)."""
-    dV = values(jv_dx(V))
+    dV = V.dx().value
     return dV - ambient.real_inner(dV, p) * p
 
 
@@ -326,10 +323,10 @@ def _sasakian_J(fr) -> np.ndarray:
     Y0 = fr.e2 + 0.5 * R + 0.25 * X
     q = _great_circle(fr)
     a = ambient.real_inner(q, Y0)
-    Y = tuple(-(a * qk) + y0 for qk, y0 in zip(q, Y0))  # Jet2 first: ndarray - Jet2 misbroadcasts
+    Y = Y0 - a * q
     D_JY = _covariant_d(p, ambient.contact_extended_J(q, Y))
     lhs = D_JY - ambient.contact_extended_J(p, _covariant_d(p, Y))
-    Y_p = values(Y)
+    Y_p = Y.value
     return _norm(lhs - ambient.real_inner(X, Y_p) * R + ambient.real_inner(Y_p, R) * X)
 
 

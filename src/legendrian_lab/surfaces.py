@@ -2,9 +2,10 @@
 
 Each surface is described by an immutable ``ImmersionSpec`` (family name,
 parameter table, chart rectangle, periodicity flags) and evaluated through
-``evaluate_jet_batch``, which returns the three complex components of F as
-jets of the chart variables.  All chart derivatives used anywhere in the
-toolkit originate here, exactly, via jet arithmetic.
+``evaluate_jet_batch``, which returns F as one jet-vector of the chart
+variables: one ``Jet2`` whose batch starts with the three components.  All
+chart derivatives used anywhere in the toolkit originate here, exactly, via
+jet arithmetic.
 
 Families:
 
@@ -265,13 +266,14 @@ def _expression_jets(spec: ImmersionSpec, X: Jet2, Y: Jet2):
 
 
 def evaluate_jet_batch(spec: ImmersionSpec, xs, ys, degree: int):
-    """Jets of the three components of F at a batch of chart points.
+    """The jet-vector of F at a batch of chart points.
 
-    ``xs``/``ys`` are arrays of equal shape; returns a tuple of three jets
-    whose coefficient arrays share that batch shape.  Raises ERR_NOT_ON_SPHERE
-    if any evaluated value leaves the unit sphere by more than 1e-10, and
-    ERR_DIVIDE_BY_ZERO_JET naming the chart point of the smallest divisor (or
-    the offset and component of a constant one) when a formula divides by zero.
+    ``xs``/``ys`` are arrays of equal shape; returns one jet of batch shape
+    ``(3,) + xs.shape``, whose ``value`` stacks the three components.  Raises
+    ERR_NOT_ON_SPHERE if any evaluated value leaves the unit sphere by more
+    than 1e-10, and ERR_DIVIDE_BY_ZERO_JET naming the chart point of the
+    smallest divisor (or the offset and component of a constant one) when a
+    formula divides by zero.
 
     Points are evaluated on the universal cover: no wrap, no domain check
     (``wrap_point`` does both).  Finite-difference stencils need this, because
@@ -304,7 +306,8 @@ def evaluate_jet_batch(spec: ImmersionSpec, xs, ys, degree: int):
             f"at chart point (x, y) = ({px[worst]:.17g}, {py[worst]:.17g}) on {spec.label}",
             exc.magnitude,
         ) from None
-    norm_sq = sum(np.abs(f.value) ** 2 for f in F)
+    F = jets.vector(*F)
+    norm_sq = np.sum(np.abs(F.value) ** 2, axis=0)
     dev = np.abs(np.sqrt(norm_sq) - 1.0)
     dev, px, py = (np.ravel(a) for a in np.broadcast_arrays(dev, xs, ys))
     worst = int(np.argmax(dev))

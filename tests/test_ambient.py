@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legendrian_lab import ambient
+from legendrian_lab import ambient, jets
 
 E1 = np.array([1.0, 0.0, 0.0], dtype=complex)
 
@@ -72,3 +72,30 @@ def test_contact_extended_J_maps_into_the_contact_plane():
     jv = ambient.contact_extended_J(p, v)
     assert abs(ambient.real_inner(jv, p)) < 1e-13
     assert abs(ambient.real_inner(jv, ambient.reeb(p))) < 1e-13
+
+
+#: Every ambient function, as a function of two vectors (p or u first).
+BOTH_LAYOUTS = {
+    "hermitian_inner": ambient.hermitian_inner,
+    "real_inner": ambient.real_inner,
+    "apply_J": lambda p, v: ambient.apply_J(v),
+    "reeb": lambda p, v: ambient.reeb(p),
+    "contact_projection": ambient.contact_projection,
+    "contact_extended_J": ambient.contact_extended_J,
+}
+
+
+@pytest.mark.parametrize("points", [(), (7,)], ids=["one_vector", "stacked"])
+@pytest.mark.parametrize("name", sorted(BOTH_LAYOUTS))
+def test_the_value_of_a_jet_result_is_the_array_result_bitwise(name, points):
+    # A degree-2 jet-vector has batch (3,) + points, and its value is the
+    # (3,) + points array; each function is one formula on both.
+    rng = np.random.default_rng(len(name) + len(points))
+    shape = (jets._ncoef(2), 3) + points
+    p, v = (
+        jets.Jet2(2, rng.normal(size=shape) + 1j * rng.normal(size=shape)) for _ in range(2)
+    )
+    f = BOTH_LAYOUTS[name]
+    on_jets, on_arrays = f(p, v), f(p.value, v.value)
+    assert isinstance(on_jets, jets.Jet2) and on_jets.degree == 2
+    assert np.array_equal(on_jets.value, on_arrays)

@@ -334,3 +334,76 @@ def test_non_affine_arguments_take_horner(monkeypatch):
     assert calls == []
     jets._compose(X * 2.0 - Y, f)
     assert calls == [1]
+
+
+# -- jet-vectors: batch axes broadcast, the coefficient axis never -----------
+
+
+def _vector_jet(rng, degree, points):
+    """A complex jet-vector: batch shape (3,) + points."""
+    shape = (jets._ncoef(degree), 3) + points
+    return jets.Jet2(degree, rng.uniform(-2.0, 2.0, shape) + 1j * rng.uniform(-2.0, 2.0, shape))
+
+
+def _component(V, k):
+    return jets.Jet2(V.degree, V.coeffs[:, k])
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_a_degree_1_scalar_jet_meets_each_component_bitwise(n):
+    # At degree 1 a jet has three coefficients, as many as a vector has
+    # components, so numpy alone would pair coefficient c with component c
+    # without an error.  With n = 3 the points line up as well.
+    rng = np.random.default_rng(n)
+    s = _random_jet(rng, 1, "real", n)
+    V = _vector_jet(rng, 1, (n,))
+    array = V.value
+    for k in range(3):
+        expected = (s * array[k]).coeffs
+        assert np.array_equal((s * array).coeffs[:, k], expected)
+        assert np.array_equal((array * s).coeffs[:, k], expected)
+        assert np.array_equal((s * V).coeffs[:, k], (s * _component(V, k)).coeffs)
+        assert np.array_equal((V * s).coeffs[:, k], (_component(V, k) * s).coeffs)
+        assert np.array_equal((s + V).coeffs[:, k], (s + _component(V, k)).coeffs)
+        assert np.array_equal((V - s).coeffs[:, k], (_component(V, k) - s).coeffs)
+    assert (s * V).batch_shape == (3, n) and (s * array).batch_shape == (3, n)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_jets_of_incompatible_batch_shapes_raise(degree):
+    rng = np.random.default_rng(degree)
+    a, b = _random_jet(rng, degree, "complex", 4), _random_jet(rng, degree, "complex", 3)
+    for operation in (
+        lambda: a * b,
+        lambda: a + b,
+        lambda: a - b,
+        lambda: a * np.ones(3),
+        lambda: a + np.ones(3),
+        lambda: a / np.ones(3),
+        lambda: a * np.ones((4, 3)),
+    ):
+        with pytest.raises(ValueError):
+            operation()
+
+
+def test_ndarray_operands_defer_to_the_jet():
+    rng = np.random.default_rng(11)
+    V = _vector_jet(rng, 2, (4,))
+    array = rng.uniform(-2.0, 2.0, (3, 4)) + 1j * rng.uniform(-2.0, 2.0, (3, 4))
+    pairs = {
+        "add": (array + V, V + array),
+        "sub": (array - V, (-V) + array),
+        "mul": (array * V, V * array),
+    }
+    for name, (reflected, direct) in pairs.items():
+        assert isinstance(reflected, jets.Jet2), name
+        assert np.array_equal(reflected.coeffs, direct.coeffs), name
+
+
+def test_component_sum_adds_the_first_two_components_first():
+    c = np.zeros((jets._ncoef(1), 3, 2))
+    c[:, :, 0] = [1e16, 1.0, 1.0]  # (1e16 + 1) + 1 rounds to 1e16; 1e16 + (1 + 1) does not
+    c[:, :, 1] = [0.5, 0.25, 0.125]
+    total = jets.Jet2(1, c).component_sum()
+    assert total.batch_shape == (2,)
+    assert np.array_equal(total.value, [1e16, 0.875])

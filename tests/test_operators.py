@@ -364,6 +364,21 @@ def test_grid_residuals_do_not_depend_on_the_batch(name):
         assert np.shape(alone[key]) == () and alone[key] == values[100], key
 
 
+@pytest.mark.parametrize(
+    "spec", [surfaces.mironov(1.3, 2.1, 0.9), CALABI], ids=["mironov", "calabi"]
+)
+def test_one_whole_frame_above_5462_points_is_bitwise_the_block_sweep(spec):
+    # 128x64 is 8,192 points in one frame against two blocks of 4,096.  From
+    # 5,462 points numpy would reuse a (3, n) complex temporary of a value-level
+    # hermitian product in place with swapped operands, which rounds
+    # differently; legendrian_defect moved at about 3,000 points by 2.2e-16.
+    xs, ys = surfaces.grid_points(spec, 128, 64)
+    whole = _residual_maps(spec, xs, ys)
+    blocks = operators.grid_residuals(spec, 128, 64)
+    for key, values in whole.items():
+        assert np.array_equal(values, blocks[key]), key
+
+
 def test_pool_size_is_clamped_to_cores_and_points():
     # Pure function: a huge request is never launched, only sized.  One
     # worker per full block, so a 64x64 sweep (4096 points) runs in-process.
@@ -523,7 +538,8 @@ def test_fourth_order_jets_match_nested_finite_differences(name):
 def test_each_frame_makes_its_shared_jet_products_once(monkeypatch):
     # One reciprocal of det g and one of sqrt(det g) per frame, the yx entry
     # of every symmetric tensor is the xy object, and the product counts stay
-    # at or below what that sharing gives (119 and 249 when this was written).
+    # at or below what that sharing gives (119 and 249 when this was written,
+    # 77 and 135 once a jet-vector's three components multiply in one product).
     calls = {"reciprocal": 0, "product": 0}
     reciprocal, product = jets.Jet2.reciprocal, jets._product
 
@@ -540,11 +556,11 @@ def test_each_frame_makes_its_shared_jet_products_once(monkeypatch):
     xs, ys = surfaces.grid_points(MIRONOV, 16, 16)
     _residual_maps(MIRONOV, xs, ys)
     assert calls["reciprocal"] == 2
-    assert calls["product"] <= 126
+    assert calls["product"] <= 80
 
     calls["product"] = 0
     operators.identity_suite(MIRONOV, surfaces.sample_points(MIRONOV, 100, seed=0))
-    assert calls["product"] <= 256
+    assert calls["product"] <= 140
 
     fr = geometry.ChartFrame.of(MIRONOV, xs[:5], ys[:5], degree=2)
     pairs = [fr.gj, fr.ginv_j, *fr.gamma_j, fr.B_j, fr.sigma_chart_j]

@@ -68,18 +68,18 @@ def test_every_top_level_definition_is_used_in_the_package():
     assert unused == []
 
 
-def test_every_chart_frame_member_is_named_in_the_package():
-    # A ChartFrame property or method counts as used when some node of src/
-    # outside its own definition names it.
+def _members_named_nowhere_else(class_name: str) -> list[str]:
+    """The methods and properties of a class of src/ that no node of src/
+    outside their own definition names (dunder methods aside)."""
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
-    frame = next(
+    cls = next(
         node
         for tree in trees
         for node in tree.body
-        if isinstance(node, ast.ClassDef) and node.name == "ChartFrame"
+        if isinstance(node, ast.ClassDef) and node.name == class_name
     )
     members = [
-        node for node in frame.body
+        node for node in cls.body
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
     ]
     namings = [
@@ -88,9 +88,22 @@ def test_every_chart_frame_member_is_named_in_the_package():
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute))
     ]
+    assert members
     unused = []
     for member in members:
         own = set(map(id, ast.walk(member)))
         if not any(name == member.name and id(node) not in own for node, name in namings):
             unused.append(member.name)
-    assert members and unused == []
+    return unused
+
+
+def test_every_chart_frame_member_is_named_in_the_package():
+    # A ChartFrame property or method counts as used when some node of src/
+    # outside its own definition names it.
+    assert _members_named_nowhere_else("ChartFrame") == []
+
+
+def test_every_jet_member_is_named_in_the_package():
+    # The same for Jet2: no accessor exists for the tests alone, which read a
+    # jet-vector's components as F.value[k] or F.coeffs[:, k].
+    assert _members_named_nowhere_else("Jet2") == []

@@ -103,9 +103,9 @@ def _nodes(spec):
 
 
 def _deformed(F, V, t):
-    G = tuple(f + v * t for f, v in zip(F, V))
+    G = F + V * t
     inv = jets.sqrt(ambient.real_inner(G, G)).reciprocal()
-    return tuple(g * inv for g in G)
+    return G * inv
 
 
 def _area_energy(fr, w):
@@ -123,13 +123,13 @@ def _variations(name):
     spec = SURFACES[name]
     xs, ys, w = _nodes(spec)
     base = geometry.ChartFrame.of(spec, xs, ys, degree=5)
-    F = tuple(f.truncate(2) for f in base.F)
+    F = base.F.truncate(2)
     R, JFx, JFy = ambient.reeb(base.F), ambient.apply_J(base.Fx), ambient.apply_J(base.Fy)
     X, Y = jets.lift_point(xs, ys, 3)
     ginv = base.ginv_j
 
     def rate(V):
-        V = tuple(v.truncate(2) for v in V)
+        V = V.truncate(2)
         m2, m1, p1, p2 = (
             _area_energy(geometry.ChartFrame(_deformed(F, V, k * STEP), xs, ys, 2), w)
             for k in (-2, -1, 1, 2)
@@ -141,15 +141,15 @@ def _variations(name):
         th = theta(X, Y)
         d = (th.dx(), th.dy())
         grad = [ginv[i][0] * d[0] + ginv[i][1] * d[1] for i in range(2)]
-        J_grad = ambient.apply_J(tuple(grad[0] * p + grad[1] * q for p, q in zip(base.Fx, base.Fy)))
-        (dA, dE), V = rate(tuple(th * r - jg * 0.5 for r, jg in zip(R, J_grad)))
+        J_grad = ambient.apply_J(grad[0] * base.Fx + grad[1] * base.Fy)
+        (dA, dE), V = rate(th * R - J_grad * 0.5)
         legendrian.append((np.real(th.value), V, dA, dE))
     normal = []
     for coefficients in NORMALS[name]:
         a, b, c = (_bump(Y) * f for f in coefficients(X))
-        N = tuple(a * p + b * q + c * r for p, q, r in zip(JFx, JFy, R))
+        N = a * JFx + b * JFy + c * R
         (_, dE), _ = rate(N)
-        normal.append((geometry.values(N), dE))
+        normal.append((N.value, dE))
     return {
         "frame": base,
         "F": F,
@@ -180,7 +180,7 @@ def test_the_derived_sum_is_willmore_energys_quadrature(name):
     # At t = 0 the chain of the given jets on the shared nodes and weights
     # reproduces willmore_energy, so d/dt is taken of the energy the CLI reports.
     xs, ys, w = _nodes(SURFACES[name])
-    fr = geometry.ChartFrame(_deformed(_variations(name)["F"], (0.0, 0.0, 0.0), 0.0), xs, ys, 2)
+    fr = geometry.ChartFrame(_deformed(_variations(name)["F"], 0.0, 0.0), xs, ys, 2)
     expected = operators.willmore_energy(SURFACES[name], (NODES, NODES))
     assert _area_energy(fr, w) == pytest.approx(expected, rel=1e-13)
 
@@ -198,7 +198,7 @@ def test_area_varies_by_half_the_integral_of_theta_div_JH(name):
 def _willmore_side(fr, dA, N):
     """int <W, N> dA, and the share of it that W's B(JH, JH) / 2 term carries."""
     total = np.sum(dA * ambient.real_inner(fr.willmore, N))
-    term = np.sum(dA * ambient.real_inner(0.5 * geometry.values(fr.B_JH_JH_j), N))
+    term = np.sum(dA * ambient.real_inner(0.5 * fr.B_JH_JH_j.value, N))
     return total, term / total
 
 
@@ -218,7 +218,7 @@ class ScaledBFrame(geometry.ChartFrame):
 
     @cached_property
     def B_JH_JH_j(self):
-        return tuple(b * (1.0 + 1e-3) for b in geometry.ChartFrame.B_JH_JH_j.func(self))
+        return geometry.ChartFrame.B_JH_JH_j.func(self) * (1.0 + 1e-3)
 
 
 @pytest.mark.parametrize("name", sorted(SURFACES))
@@ -292,7 +292,7 @@ def test_a_csl_willmore_suspension_is_csl(spec):
 
 
 def _twisted_mironov(a, b, c, lam, xs, ys, degree):
-    """Jets of the Mironov torus with weights (a, b, -c) whose phases are twisted by lam:
+    """The jet-vector of the Mironov torus with weights (a, b, -c) whose phases are twisted by lam:
 
     F = (r1 e^{i(ay + p1)}, r2 e^{i(by + p2)}, r3 e^{-icy}), with the moduli r_k
     of ``surfaces.mironov`` and p1' = lam r2^2, p2' = -lam r1^2, which keeps F
@@ -308,7 +308,7 @@ def _twisted_mironov(a, b, c, lam, xs, ys, degree):
     s = jets.sin(X * 2.0) * 0.25
     p1 = (X * 0.5 + s) * (lam * m2)
     p2 = (X * 0.5 - s) * (-lam * m1)
-    return (
+    return jets.vector(
         r1 * jets.exp(Y * (1j * a) + p1 * 1j),
         r2 * jets.exp(Y * (1j * b) + p2 * 1j),
         r3 * jets.exp(Y * (-1j * c)),
@@ -324,7 +324,7 @@ def _twisted_frame(abc, lam):
 def test_the_untwisted_torus_is_bitwise_the_catalog_mironov_torus(abc):
     fr = _twisted_frame(abc, 0.0)
     ref = geometry.ChartFrame.of(surfaces.mironov(*abc), fr.xs, fr.ys, degree=5)
-    assert all(np.array_equal(f.coeffs, g.coeffs) for f, g in zip(fr.F, ref.F))
+    assert np.array_equal(fr.F.coeffs, ref.F.coeffs)
     assert np.array_equal(fr.div_JH, ref.div_JH)
     assert np.array_equal(fr.csl_willmore_residual, ref.csl_willmore_residual)
 
