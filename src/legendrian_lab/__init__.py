@@ -52,6 +52,7 @@ from .geometry import ChartFrame, brioschi, legendrian_defect, point_report
 from .operators import (
     CheckResult,
     ResidualReport,
+    energy_doubling,
     identity_suite,
     run_verification,
     willmore_energy,
@@ -108,5 +109,6 @@ __all__ = [
     "point_report",
     "identity_suite",
     "willmore_energy",
+    "energy_doubling",
     "run_verification",
 ]

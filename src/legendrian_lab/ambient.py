@@ -41,9 +41,14 @@ def hermitian_inner(u, v) -> complex | np.ndarray | Jet2:
     """Hermitian product sum_k u_k * conj(v_k) (linear in the first slot).
 
     On arrays the explicit ufunc call gets no in-place temporary, so a
-    point's value does not depend on the batch it sits in.
+    point's value does not depend on the batch it sits in.  Two jets are
+    truncated to their common degree before the conjugate is taken, as the
+    product would truncate them anyway.
     """
     if isinstance(u, Jet2):
+        if isinstance(v, Jet2):
+            degree = min(u.degree, v.degree)
+            u, v = u.truncate(degree), v.truncate(degree)
         return (u * v.conjugate()).component_sum()
     return np.sum(np.multiply(u, np.conj(v)), axis=0)
 

@@ -88,8 +88,10 @@ CSL_GATE = 1e-6
 #: on the batch it sits in, and one whole 8,192-point frame reads bitwise the
 #: maps of its two blocks.  On a 2-core machine (Python 3.11, numpy 2.4) a
 #: mironov degree-5 sweep took 0.170 s serial and 0.114 s on 2 workers at
-#: 8192 points, 0.284 s and 0.205 s at 16384; a 128x128 energy call took a
-#: median of 2.2k minor page faults in blocks and 12.6k in one frame.
+#: 8192 points, 0.284 s and 0.205 s at 16384.  With the heap thresholds the
+#: CLI pins (``cli._pin_heap_thresholds``) a repeated 128x128 energy call
+#: makes a median of 4 minor page faults in blocks and 0 in one frame; under
+#: glibc's dynamic thresholds it made 3.8k and 9.7k.
 BLOCK_POINTS = 4096
 
 
@@ -542,26 +544,54 @@ def _energy_terms(fr: ChartFrame) -> dict[str, np.ndarray]:
     return {"det_g": fr.det_g, "norm_H_sq": fr.norm_H_sq}
 
 
+def _energy_sums(weights, terms) -> tuple[float, float]:
+    """(area, energy) of the x-major node terms with per-axis weights (xw, yw).
+
+    Summation via math.fsum, which is correctly rounded, so the sums are
+    bit-stable whatever the order of the nodes.  The flat weights are formed
+    only after the sweep.
+    """
+    w2 = np.outer(*weights).ravel()
+    sd = np.sqrt(terms["det_g"])
+    area = math.fsum((w2 * sd).tolist())
+    energy = math.fsum((w2 * sd * (0.25 * terms["norm_H_sq"] + 1.0)).tolist())
+    return area, energy
+
+
 def willmore_energy(spec: ImmersionSpec, grid: tuple[int, int] = (64, 64)):
     """(area, energy) per chart rectangle by ``_quadrature``'s rule.
 
     area = integral of sqrt(det g); energy = integral of (|H|^2/4 + 1)
     sqrt(det g) — the ambient sectional curvature term is identically 1 on
-    the unit sphere.  ``grid`` gives the nodes per axis.  Summation via
-    math.fsum in a fixed order, so results are bit-stable.
+    the unit sphere.  ``grid`` gives the nodes per axis.
 
     The nodes go through ``sweep`` in-process, one degree-2 frame per block.
     det g and |H|^2 do not depend on the batch and fsum is correctly rounded,
-    so the sums are bitwise those of one whole-grid frame.  The flat weights
-    are formed only after the sweep.
+    so the sums are bitwise those of one whole-grid frame.
     """
-    xs, ys, (xw, yw) = _quadrature(spec, *grid)
+    xs, ys, weights = _quadrature(spec, *grid)
+    return _energy_sums(weights, sweep(spec, xs, ys, 2, _energy_terms))
+
+
+def energy_doubling(spec: ImmersionSpec, grid: tuple[int, int]):
+    """``willmore_energy`` on ``grid`` and on the doubled grid, from one sweep.
+
+    Both chart axes must be periodic.  The trapezoid grids are then nested:
+    the doubled step is exactly half the coarse one, so every coarse node is
+    bitwise the doubled grid's node of twice its indices.  Only the doubled
+    grid is swept, and the coarse sums read its ``[::2, ::2]`` nodes with the
+    coarse weights: two (area, energy) pairs, bitwise two ``willmore_energy``
+    calls.  The coarse grid is validated first.  Gauss-Legendre nodes do not
+    nest, so on a non-periodic axis both grids have to be swept.
+    """
+    if not all(spec.periodic):
+        raise ValueError("nested grid doubling needs both chart axes periodic")
+    nx, ny = grid
+    _, _, coarse_weights = _quadrature(spec, nx, ny)
+    xs, ys, weights = _quadrature(spec, 2 * nx, 2 * ny)
     terms = sweep(spec, xs, ys, 2, _energy_terms)
-    w2 = np.outer(xw, yw).ravel()
-    sd = np.sqrt(terms["det_g"])
-    area = math.fsum((w2 * sd).tolist())
-    energy = math.fsum((w2 * sd * (0.25 * terms["norm_H_sq"] + 1.0)).tolist())
-    return area, energy
+    coarse = {key: t.reshape(2 * nx, 2 * ny)[::2, ::2].ravel() for key, t in terms.items()}
+    return _energy_sums(coarse_weights, coarse), _energy_sums(weights, terms)
 
 
 # -- grid verification --------------------------------------------------------

@@ -7,9 +7,10 @@ run well inside the one-minute budget on a single core.
 
 import math
 
+import numpy as np
 import pytest
 
-from legendrian_lab import operators, surfaces
+from legendrian_lab import geometry, operators, surfaces
 
 #: Members with nonvanishing mean curvature (the interesting residual cases).
 NON_MINIMAL = ("calabi_default", "mironov_121")
@@ -75,10 +76,21 @@ def identity_reports(members):
 def calabi_energy(members):
     """((area, energy) at 64x64, (area, energy) at the doubled grid)."""
     spec = members["calabi_default"]
-    return (
-        operators.willmore_energy(spec, (64, 64)),
-        operators.willmore_energy(spec, (128, 128)),
-    )
+    return operators.energy_doubling(spec, (64, 64))
+
+
+@pytest.fixture
+def frame_widths(monkeypatch):
+    """The width of every frame that ``operators`` builds, in order."""
+    widths = []
+
+    class RecordedFrame(geometry.ChartFrame):
+        def __init__(self, F, xs, ys, degree):
+            widths.append(np.size(xs))
+            super().__init__(F, xs, ys, degree)
+
+    monkeypatch.setattr(operators, "ChartFrame", RecordedFrame)
+    return widths
 
 
 # -- acceptance summary --------------------------------------------------------

@@ -99,3 +99,29 @@ def test_the_value_of_a_jet_result_is_the_array_result_bitwise(name, points):
     on_jets, on_arrays = f(p, v), f(p.value, v.value)
     assert isinstance(on_jets, jets.Jet2) and on_jets.degree == 2
     assert np.array_equal(on_jets.value, on_arrays)
+
+
+def test_hermitian_inner_conjugates_mixed_degree_jets_at_the_lower_degree(monkeypatch):
+    # A degree-1 vector against a degree-4 one, as geometry pairs J H with
+    # Fx: the pairing is bitwise the untruncated formula, and the conjugate
+    # is taken at degree 1 in either slot.
+    rng = np.random.default_rng(11)
+
+    def jet(degree):
+        shape = (jets._ncoef(degree), 3, 5)
+        return jets.Jet2(degree, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+    low, high = jet(1), jet(4)
+    expected = [(u * v.conjugate()).component_sum() for u, v in ((low, high), (high, low))]
+    conjugated = []
+    conjugate = jets.Jet2.conjugate
+
+    def recorded(self):
+        conjugated.append(self.degree)
+        return conjugate(self)
+
+    monkeypatch.setattr(jets.Jet2, "conjugate", recorded)
+    for (u, v), want in zip(((low, high), (high, low)), expected):
+        got = ambient.hermitian_inner(u, v)
+        assert got.degree == 1 and np.array_equal(got.coeffs, want.coeffs)
+    assert conjugated == [1, 1]

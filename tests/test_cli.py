@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from conftest import CONTROL
 from legendrian_lab import ambient, cli, geometry, operators, surfaces
 
 CALABI_TWIN_EXPR = """\
@@ -477,6 +481,84 @@ def test_energy_is_spectrally_accurate_on_a_non_periodic_chart(capsys):
     assert q["area"] == pytest.approx(4.0 * math.pi * math.sin(1.2), abs=1e-12)
     assert q["area_refined"] == pytest.approx(4.0 * math.pi * math.sin(1.2), abs=1e-12)
     assert payload["checks"][0]["status"] == "PASS"
+
+
+@pytest.mark.parametrize(
+    "surface, swept",
+    [
+        ("calabi", 128 * 128),
+        ("mironov", 128 * 128),
+        ("geodesic_sphere", 64 * 64 + 128 * 128),
+        ("control", 64 * 64 + 128 * 128),
+    ],
+)
+def test_energy_sweeps_each_node_once_and_reports_two_willmore_energy_calls(
+    frame_widths, capsys, tmp_path, surface, swept
+):
+    # A both-periodic chart sweeps only the doubled grid; a Gauss-Legendre
+    # axis (the sphere's x, the control's y) sweeps both grids.  Either way
+    # the report is bitwise willmore_energy on the two grids.
+    if surface == "control":
+        path = tmp_path / "control.expr"
+        path.write_text(CONTROL_EXPR)
+        source, spec = ["--expr-file", str(path)], CONTROL
+    else:
+        source, spec = ["--surface", surface], surfaces.surface_by_name(surface)
+    _, payload = _run_json(capsys, ["energy", *source, "--format", "json"])
+    assert sum(frame_widths) == swept
+    q = payload["quantities"]
+    assert (q["area"], q["energy"]) == operators.willmore_energy(spec, (64, 64))
+    assert (q["area_refined"], q["energy_refined"]) == operators.willmore_energy(spec, (128, 128))
+
+
+#: Three mironov 64x64 energy calls through cli.main in one fresh
+#: interpreter; prints the minor page faults of each.
+_FAULTS_PER_CALL = """\
+import contextlib, io, json, resource
+from legendrian_lab import cli
+
+argv = ["energy", "--surface", "mironov", "--grid", "64x64", "--format", "json"]
+faults = []
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(not cli._glibc(), reason="the heap thresholds are pinned on glibc only")
+def test_repeated_energy_calls_reuse_their_heap_pages():
+    # With glibc's dynamic thresholds every 4096-point block refaulted the
+    # memory the previous block freed: 5,300 minor faults per repeated call.
+    # Pinned, a repeated call faults a dozen pages.
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _FAULTS_PER_CALL],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    first, *repeated = json.loads(done.stdout)
+    assert all(faults < 500 for faults in repeated), (first, repeated)
+
+
+def test_without_glibc_the_heap_is_left_alone_and_stdout_is_the_same(capsys, monkeypatch):
+    argv = ["energy", "--surface", "calabi", "--grid", "8x8", "--format", "json"]
+    assert cli.main(argv) == 0
+    pinned = capsys.readouterr().out
+
+    def no_glibc(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    def no_call(*args):
+        raise AssertionError("libc was loaded off glibc")
+
+    monkeypatch.setattr(os, "confstr", no_glibc)
+    monkeypatch.setattr(cli.ctypes, "CDLL", no_call)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == pinned
 
 
 def test_config_file_supplies_surface_and_run_options(capsys, tmp_path):

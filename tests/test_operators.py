@@ -250,20 +250,6 @@ def test_energy_equals_area_for_minimal_surfaces():
     assert energy == area
 
 
-@pytest.fixture
-def frame_widths(monkeypatch):
-    """The width of every frame that ``operators`` builds, in order."""
-    widths = []
-
-    class RecordedFrame(geometry.ChartFrame):
-        def __init__(self, F, xs, ys, degree):
-            widths.append(np.size(xs))
-            super().__init__(F, xs, ys, degree)
-
-    monkeypatch.setattr(operators, "ChartFrame", RecordedFrame)
-    return widths
-
-
 @pytest.mark.parametrize(
     "spec, grid", [(CALABI, (128, 128)), (surfaces.geodesic_sphere(), (70, 90))]
 )
@@ -292,8 +278,56 @@ def test_willmore_energy_in_blocks_is_bitwise_one_whole_grid_frame(frame_widths,
 
 
 def test_energy_grid_is_validated():
-    with pytest.raises(GridError):
-        operators.willmore_energy(CALABI, (3, 8))
+    # energy_doubling judges the coarse grid first, though it sweeps only 6x16.
+    for energy in (operators.willmore_energy, operators.energy_doubling):
+        with pytest.raises(GridError, match="integration grid 3x8 too small"):
+            energy(CALABI, (3, 8))
+
+
+#: A both-periodic expression chart whose x axis starts off zero: the flat
+#: torus with x rescaled to the period 4.2 of x_range = -1.3, 2.9.
+SHIFTED_TORUS = surfaces.from_expression(
+    (
+        f"r1*r3*exp(i*((r2/r1)*{TWO_PI / 4.2!r}*x + (r4/r3)*y))",
+        f"r1*r4*exp(i*((r2/r1)*{TWO_PI / 4.2!r}*x - (r3/r4)*y))",
+        f"r2*exp(-i*(r1/r2)*{TWO_PI / 4.2!r}*x)",
+    ),
+    {"r1": 0.8, "r2": 0.6, "r3": 0.6, "r4": 0.8},
+    ((-1.3, 2.9), (0.0, TWO_PI)),
+    periodic=(True, True),
+)
+
+
+@pytest.mark.parametrize("grid", [(4, 4), (7, 5), (64, 64), (100, 36)])
+@pytest.mark.parametrize("spec", [CALABI, SHIFTED_TORUS], ids=["calabi", "shifted_torus"])
+def test_periodic_quadrature_nodes_nest_under_doubling(spec, grid):
+    # The doubled step is exactly half the coarse one, so lo + step/2 * 2k
+    # is the float lo + step * k: energy_doubling's coarse nodes are bitwise
+    # the doubled grid's [::2, ::2] nodes.
+    nx, ny = grid
+    xs, ys, _ = operators._quadrature(spec, nx, ny)
+    xs2, ys2, _ = operators._quadrature(spec, 2 * nx, 2 * ny)
+    assert np.array_equal(xs, xs2.reshape(2 * nx, 2 * ny)[::2, ::2].ravel())
+    assert np.array_equal(ys, ys2.reshape(2 * nx, 2 * ny)[::2, ::2].ravel())
+
+
+@pytest.mark.parametrize(
+    "spec", [CALABI, MIRONOV, SHIFTED_TORUS], ids=["calabi", "mironov", "shifted_torus"]
+)
+def test_energy_doubling_is_bitwise_two_willmore_energy_calls(frame_widths, spec):
+    # Only the doubled grid is swept.
+    coarse, fine = operators.energy_doubling(spec, (64, 64))
+    assert sum(frame_widths) == 128 * 128
+    assert coarse == operators.willmore_energy(spec, (64, 64))
+    assert fine == operators.willmore_energy(spec, (128, 128))
+
+
+@pytest.mark.parametrize(
+    "spec", [surfaces.geodesic_sphere(), CONTROL], ids=["geodesic_sphere", "control"]
+)
+def test_energy_doubling_refuses_a_gauss_legendre_axis(spec):
+    with pytest.raises(ValueError, match="both chart axes periodic"):
+        operators.energy_doubling(spec, (8, 8))
 
 
 def test_stencils_refuse_to_leave_non_periodic_charts():
