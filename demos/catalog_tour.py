@@ -46,7 +46,7 @@ def main() -> None:
         print(f"    |H|^2 = {pf.norm_H_sq:.12f}    gauss curvature = {pf.kappa:.12f}")
         print(
             f"    |B|^2 = {pf.norm_B_sq:.12f}    "
-            f"legendrian defect = {geometry.legendrian_defect(pf.F):.3e}"
+            f"legendrian defect = {pf.legendrian_defect:.3e}"
         )
 
         maps = operators.grid_residuals(spec, 12, 12)

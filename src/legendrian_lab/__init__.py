@@ -48,7 +48,7 @@ from .surfaces import (
     surface_by_name,
     wrap_coordinate,
 )
-from .geometry import ChartFrame, brioschi, legendrian_defect, point_report
+from .geometry import ChartFrame, brioschi, point_report
 from .operators import (
     CheckResult,
     ResidualReport,
@@ -104,7 +104,6 @@ __all__ = [
     "evaluate_jet_batch",
     "sample_points",
     "grid_points",
-    "legendrian_defect",
     "brioschi",
     "point_report",
     "identity_suite",

@@ -200,6 +200,10 @@ def load_expression_surface(path: str) -> ImmersionSpec:
 
 _DEFAULT_GRIDS = {"verify": (16, 16), "table": (32, 32), "energy": (64, 64), "classify": (16, 16)}
 
+#: Most grid points one command may sweep; ``energy`` counts its doubled grid,
+#: 4 nx ny points.  A larger grid is refused before anything is allocated.
+MAX_GRID_POINTS = 1 << 20
+
 #: The sections of a --config file and the keys each may hold.  None leaves
 #: the keys to the section's reader: [tolerances] keys are check names, and
 #: an expression [surface] (``kind = expression``) holds its own keys.
@@ -275,6 +279,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         ny = _parse_int(grid_cfg.get("ny", str(default_ny)), "[grid] ny")
         if nx < 4 or ny < 4:
             raise ValidationError("[grid] nx and ny must be >= 4")
+    points = nx * ny * (4 if args.command == "energy" else 1)
+    if points > MAX_GRID_POINTS:
+        raise ValidationError(
+            f"grid {nx}x{ny} sweeps {points} points, more than the limit of {MAX_GRID_POINTS}"
+        )
 
     scale = _parse_float(tol_cfg.pop("scale", "1"), "[tolerances] scale")
     env_scale = os.environ.get("LEGLAB_TOLERANCE_SCALE")
@@ -499,27 +508,26 @@ def cmd_table(config: RunConfig) -> int:
         # x = 0 is the representative point the closed forms are usually quoted at.
         xs, ys = np.concatenate([[0.0], xs]), np.concatenate([[0.0], ys])
         read, rep = _mironov_table, "representative point: (x, y) = (0, 0)"
-    # Per row: the values at point 0 and the grid-max |computed - closed|.
+    pairs = sweep(spec, xs, ys, 4, read)
+    # Each row's values at point 0; the check of its name judges |computed - closed|.
     rows = [
-        (name, closed[..., 0].tolist(), computed[..., 0].tolist(),
-         float(np.max(np.abs(computed - closed))))
-        for name, (closed, computed) in sweep(spec, xs, ys, 4, read).items()
+        {"name": name, "closed_form": closed[..., 0].tolist(),
+         "computed": computed[..., 0].tolist()}
+        for name, (closed, computed) in pairs.items()
     ]
+    deviations = {name: np.abs(computed - closed) for name, (closed, computed) in pairs.items()}
     table_checks = {check.name: check for check in checks_in("table", config.checks)}
-    checks = [table_checks[name].result(deviation) for name, _, _, deviation in rows]
+    checks = [table_checks[name].evaluate(deviations) for name in pairs]
     payload = _base_payload(config)
-    payload["table"] = [
-        {"name": name, "closed_form": closed, "computed": computed}
-        for name, closed, computed, _ in rows
-    ]
+    payload["table"] = rows
     if config.fmt == "text":
         _print_header(config)
         print(rep)
-        for name, closed, computed, deviation in rows:
-            print(f"  {name}:")
-            print(f"    closed form: {closed}")
-            print(f"    computed:    {computed}")
-            print(f"    grid-max deviation: {deviation:.5e}")
+        for row, check in zip(rows, checks):
+            print(f"  {row['name']}:")
+            print(f"    closed form: {row['closed_form']}")
+            print(f"    computed:    {row['computed']}")
+            print(f"    grid-max deviation: {check.max_residual:.5e}")
     return _finish(checks, config, payload)
 
 
@@ -531,7 +539,8 @@ def cmd_energy(config: RunConfig) -> int:
     else:
         area, energy = willmore_energy(spec, grid)
         area2, energy2 = willmore_energy(spec, (2 * config.nx, 2 * config.ny))
-    checks = [check.result(energy2 - energy) for check in checks_in("energy", config.checks)]
+    drift = {"quadrature_doubling": energy2 - energy}
+    checks = [check.evaluate(drift) for check in checks_in("energy", config.checks)]
     payload = _base_payload(config)
     payload["quantities"] = {
         "area": area,

@@ -19,8 +19,8 @@ Laplacians, the Willmore-Legendrian and csL-Willmore residuals) come out
 with no finite-difference error, and the value-level arrays are read off the
 constant coefficients.  ``point_report`` builds it at one wrapped chart
 point, with no batch axis; ``brioschi`` is the single Brioschi formula (fed
-jet or finite-difference metric derivatives) and ``legendrian_defect`` the
-single per-point Legendrian defect.
+jet or finite-difference metric derivatives), and the frame's
+``legendrian_defect`` is the single per-point Legendrian defect.
 
 Index conventions: chart indices i, j, k run over (x, y) = (0, 1);
 ``gamma[k, i, j]`` is Gamma^k_{ij}; arrays carrying several points append the
@@ -36,7 +36,7 @@ import numpy as np
 from . import ambient, jets
 from .errors import DegenerateMetricError
 from .jets import Jet2
-from .surfaces import ImmersionSpec, evaluate_jet_batch, wrap_point
+from .surfaces import ImmersionSpec, evaluate_jet_batch, worst_point, wrap_point
 
 #: Metric determinants at or below this are treated as degenerate.
 DET_TOL = 1e-12
@@ -64,19 +64,6 @@ def _partials(f) -> np.ndarray:
             [np.real(jets.extract_partial(f, 1, 0)), np.real(jets.extract_partial(f, 0, 1))]
         )
     return np.stack([_partials(g) for g in f], axis=1)
-
-
-def legendrian_defect(F) -> np.ndarray:
-    """Per-point max_i |<F_i, F>| plus the unit-norm defect ||F|^2 - 1|.
-
-    Zero (to roundoff) exactly when the point lies on the unit sphere and
-    both chart directions are Legendrian; the hermitian product catches the
-    contact-form component through its imaginary part.  Needs jets of
-    degree >= 1.
-    """
-    p = F.value
-    tangency = [np.abs(ambient.hermitian_inner(Fi.value, p)) for Fi in (F.dx(), F.dy())]
-    return np.maximum(*tangency) + np.abs(ambient.real_inner(p, p) - 1.0)
 
 
 def _normal(V, g_inv, Fx, Fy, F):
@@ -194,6 +181,18 @@ class ChartFrame:
         return self.F.dy()
 
     @cached_property
+    def legendrian_defect(self) -> np.ndarray:
+        """Per-point max_i |<F_i, F>| plus the unit-norm defect ||F|^2 - 1|.
+
+        Zero (to roundoff) exactly when the point lies on the unit sphere and
+        both chart directions are Legendrian; the hermitian product catches
+        the contact-form component through its imaginary part.
+        """
+        p = self.F_v
+        tangency = [np.abs(ambient.hermitian_inner(Fi, p)) for Fi in (self.Fx_v, self.Fy_v)]
+        return np.maximum(*tangency) + np.abs(ambient.real_inner(p, p) - 1.0)
+
+    @cached_property
     def gj(self):
         """Metric jets gj[i][j], degree-1 lower than F."""
         Fi = (self.Fx, self.Fy)
@@ -205,13 +204,11 @@ class ChartFrame:
         low = max(self.degree - 2, 0)
         (g00, g01), (_, g11) = ([g.truncate(low) for g in row] for row in self.gj)
         det = g00 * g11 - g01 * g01
-        d = np.ravel(_real(det))
+        d = _real(det)
         if np.any(d <= DET_TOL):
-            worst = int(np.argmin(d))
-            x, y = (float(np.ravel(t)[worst]) for t in (self.xs, self.ys))
+            smallest, point = worst_point(d, self.xs, self.ys, np.argmin)
             raise DegenerateMetricError(
-                f"metric determinant {d[worst]:.3e} <= {DET_TOL:g} "
-                f"at chart point (x, y) = ({x:.17g}, {y:.17g})"
+                f"metric determinant {smallest:.3e} <= {DET_TOL:g} at chart point {point}"
             )
         return det
 
@@ -253,7 +250,7 @@ class ChartFrame:
     def gamma_j(self):
         """Christoffel jets gamma_j[k][i][j] (degree-2 lower than F)."""
         gj, ginv = self.gj, self.ginv_j
-        dg = [[[d(gj[i][j]) for j in range(2)] for i in range(2)] for d in (Jet2.dx, Jet2.dy)]
+        dg = [_symmetric(lambda i, j: d(gj[i][j])) for d in (Jet2.dx, Jet2.dy)]
 
         def entry(k, i, j):
             t0, t1 = (ginv[k][l] * (dg[i][j][l] + dg[j][i][l] - dg[l][i][j]) for l in range(2))

@@ -122,8 +122,7 @@ def _build_diff_table(degree: int, axis: int) -> tuple[np.ndarray, np.ndarray]:
 
 _MUL_TERMS = {d: _build_mul_terms(d) for d in range(MAX_DEGREE + 1)}
 _AFFINE_TABLES = {d: _build_affine_table(d) for d in range(MAX_DEGREE + 1)}
-_DX_TABLES = {d: _build_diff_table(d, 0) for d in range(1, MAX_DEGREE + 1)}
-_DY_TABLES = {d: _build_diff_table(d, 1) for d in range(1, MAX_DEGREE + 1)}
+_DIFF_TABLES = [{d: _build_diff_table(d, ax) for d in range(1, MAX_DEGREE + 1)} for ax in (0, 1)]
 
 
 def _check_degree(degree: int) -> None:
@@ -293,21 +292,20 @@ class Jet2:
 
     # -- calculus --------------------------------------------------------
 
-    def dx(self) -> "Jet2":
-        """Jet of the x-partial (degree drops by one)."""
+    def _partial(self, axis: int) -> "Jet2":
         if self.degree == 0:
             raise OrderError("cannot differentiate a degree-0 jet")
-        src, fac = _DX_TABLES[self.degree]
+        src, fac = _DIFF_TABLES[axis][self.degree]
         fac = fac.reshape((-1,) + (1,) * len(self.batch_shape))
         return Jet2(self.degree - 1, self.coeffs[src] * fac)
 
+    def dx(self) -> "Jet2":
+        """Jet of the x-partial (degree drops by one)."""
+        return self._partial(0)
+
     def dy(self) -> "Jet2":
         """Jet of the y-partial (degree drops by one)."""
-        if self.degree == 0:
-            raise OrderError("cannot differentiate a degree-0 jet")
-        src, fac = _DY_TABLES[self.degree]
-        fac = fac.reshape((-1,) + (1,) * len(self.batch_shape))
-        return Jet2(self.degree - 1, self.coeffs[src] * fac)
+        return self._partial(1)
 
     # -- real-chart helpers ----------------------------------------------
 
@@ -390,39 +388,23 @@ def _compose(a: Jet2, taylor_coeffs: list[np.ndarray]) -> Jet2:
     return result
 
 
+def _cyclic_series(a: Jet2, cycle: list) -> Jet2:
+    """f(a) for an f whose derivatives at a0 repeat ``cycle``: f_n = cycle[n % len] / n!."""
+    return _compose(a, [cycle[n % len(cycle)] / math.factorial(n) for n in range(a.degree + 1)])
+
+
 def exp(a: Jet2) -> Jet2:
-    a0 = a.coeffs[0]
-    e = np.exp(a0)
-    fact = 1.0
-    coeffs = []
-    for n in range(a.degree + 1):
-        coeffs.append(e / fact)
-        fact *= n + 1
-    return _compose(a, coeffs)
+    return _cyclic_series(a, [np.exp(a.coeffs[0])])
 
 
 def sin(a: Jet2) -> Jet2:
-    a0 = a.coeffs[0]
-    s, c = np.sin(a0), np.cos(a0)
-    cycle = [s, c, -s, -c]
-    fact = 1.0
-    coeffs = []
-    for n in range(a.degree + 1):
-        coeffs.append(cycle[n % 4] / fact)
-        fact *= n + 1
-    return _compose(a, coeffs)
+    s, c = np.sin(a.coeffs[0]), np.cos(a.coeffs[0])
+    return _cyclic_series(a, [s, c, -s, -c])
 
 
 def cos(a: Jet2) -> Jet2:
-    a0 = a.coeffs[0]
-    s, c = np.sin(a0), np.cos(a0)
-    cycle = [c, -s, -c, s]
-    fact = 1.0
-    coeffs = []
-    for n in range(a.degree + 1):
-        coeffs.append(cycle[n % 4] / fact)
-        fact *= n + 1
-    return _compose(a, coeffs)
+    s, c = np.sin(a.coeffs[0]), np.cos(a.coeffs[0])
+    return _cyclic_series(a, [c, -s, -c, s])
 
 
 def _check_branch_cut(a0: np.ndarray, what: str) -> None:

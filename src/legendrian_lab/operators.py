@@ -15,8 +15,10 @@ families, in registry order:
   read a degree-5 ``ChartFrame`` at seeded sample points;
 * ``classify`` rows read the same grid maps; the CLI prints PASS as the
   verdict yes and FAIL as no;
-* ``table`` and ``energy`` rows carry only a name, a tolerance and a
-  description: the CLI computes their deviation.
+* ``table`` rows read the CLI's per-point |computed - closed|, and the
+  ``energy`` row its energy change under grid doubling.
+
+A row with no residual reads the entry of its name in a dict source.
 
 A mask selects all points, the csL-gated points (all or none: the batch's
 max |Div(JH)| must be below ``CSL_GATE``), the csL-gated points with
@@ -68,7 +70,7 @@ import numpy as np
 
 from . import ambient, jets
 from .errors import GridError, StencilOutOfDomainError
-from .geometry import ChartFrame, brioschi, legendrian_defect
+from .geometry import ChartFrame, brioschi
 from .surfaces import ImmersionSpec, grid_points, sample_points
 
 #: Base finite-difference step scale: h = FD_H_SCALE * (1 + |coordinate|).
@@ -133,10 +135,11 @@ class ResidualReport:
 class Check:
     """One registry row.
 
-    ``residual`` and ``mask`` read the row's source: the grid maps for
-    ``grid`` and ``classify`` rows, a ``ChartFrame`` for ``identity`` rows.
-    ``mask`` None selects every point.  ``table`` and ``energy`` rows have no
-    residual: their value is handed to ``result``.
+    ``residual`` and ``mask`` read the row's source: a dict of per-point
+    arrays (the grid maps for ``grid`` and ``classify`` rows, the CLI's
+    deviations for ``table`` and ``energy`` rows) or a ``ChartFrame`` for
+    ``identity`` rows.  ``residual`` None reads ``source[name]``, and
+    ``mask`` None selects every point.
     """
 
     name: str
@@ -151,7 +154,8 @@ class Check:
         used = None if self.mask is None else self.mask(source)
         if used is not None and not used.any():
             return self.result(np.zeros(used.size), used)
-        return self.result(self.residual(source), used)
+        residual = source[self.name] if self.residual is None else self.residual(source)
+        return self.result(residual, used)
 
     def result(self, residuals, used=None) -> CheckResult:
         """Aggregate per-point residuals (or one scalar) into this check's result.
@@ -240,13 +244,18 @@ def brioschi_curvature_fd(fr: ChartFrame) -> np.ndarray:
 # -- identity residuals and masks ---------------------------------------------
 
 
+def _asymmetry(T, rank: int) -> np.ndarray:
+    """Per-point max |T - T o pi| over the permutations pi of T's first ``rank`` axes."""
+    axes = tuple(range(rank))
+    out = np.zeros(T.shape[rank:])
+    for perm in permutations(axes):
+        out = np.maximum(out, np.max(np.abs(T - np.transpose(T, perm + (rank,))), axis=axes))
+    return out
+
+
 def _tri_symmetry(fr) -> np.ndarray:
     """Asymmetry of the cubic form's orthonormal components."""
-    sig = fr.sigma_frame
-    tri = np.zeros(fr.xs.size)
-    for perm in permutations(range(3)):
-        tri = np.maximum(tri, np.max(np.abs(sig - np.transpose(sig, perm + (3,))), axis=(0, 1, 2)))
-    return tri
+    return _asymmetry(fr.sigma_frame, 3)
 
 
 def _reeb_normal(fr) -> np.ndarray:
@@ -286,14 +295,7 @@ def _four_symmetry(fr) -> np.ndarray:
         - np.einsum("mlj...,imk...->lijk...", gamma, sig_c)
         - np.einsum("mlk...,ijm...->lijk...", gamma, sig_c)
     )
-    four = np.zeros(fr.xs.size)
-    base_axes = (0, 1, 2, 3)
-    for perm in permutations(base_axes):
-        if perm == base_axes:
-            continue
-        moved = np.transpose(nabla_sigma, perm + (4,))
-        four = np.maximum(four, np.max(np.abs(nabla_sigma - moved), axis=(0, 1, 2, 3)))
-    return four
+    return _asymmetry(nabla_sigma, 4)
 
 
 def _great_circle(fr):
@@ -351,18 +353,11 @@ def _willmore_legendrian_gated(maps) -> np.ndarray:
 
 CHECKS = (
     # verify: the grid maps of grid_residuals.
-    Check("legendrian_defect", "grid", 1e-10,
-          "unit-norm and Legendrian tangency defect of F",
-          itemgetter("legendrian_defect")),
-    Check("csl_residual", "grid", 1e-7,
-          "csL equation: Div(JH) = 0",
-          itemgetter("csl_residual")),
+    Check("legendrian_defect", "grid", 1e-10, "unit-norm and Legendrian tangency defect of F"),
+    Check("csl_residual", "grid", 1e-7, "csL equation: Div(JH) = 0"),
     Check("csl_willmore_residual", "grid", 1e-5,
-          "csL-Willmore equation (expanded fourth-order form)",
-          itemgetter("csl_willmore_residual")),
-    Check("obstruction_trace", "grid", 1e-6,
-          "trace<B(., nabla . JH), H> = 0",
-          itemgetter("obstruction_trace")),
+          "csL-Willmore equation (expanded fourth-order form)"),
+    Check("obstruction_trace", "grid", 1e-6, "trace<B(., nabla . JH), H> = 0"),
     # Consistency with the classification theorem: wherever the
     # Willmore-Legendrian residual is tiny, |H| must be tiny too.
     Check("willmore_implies_minimal", "grid", 1e-6,
@@ -371,7 +366,7 @@ CHECKS = (
     # verify and identity_suite: a degree-5 frame at seeded sample points.
     Check("legendrian_defect", "identity", 1e-11,
           "unit-norm and Legendrian tangency defect of F",
-          lambda fr: legendrian_defect(fr.F)),
+          lambda fr: fr.legendrian_defect),
     Check("tri_symmetry", "identity", 1e-11,
           "full symmetry of the cubic form <B(e_a,e_b), J e_c>",
           _tri_symmetry),
@@ -429,7 +424,7 @@ CHECKS = (
           "grid-max Willmore-Legendrian residual", itemgetter("willmore_legendrian_residual")),
     Check("csl_willmore", "classify", 1e-5,
           "grid-max csL-Willmore residual", itemgetter("csl_willmore_residual")),
-    # table: grid-max deviation of each closed-form row.
+    # table: per-point deviation of each closed-form row.
     Check("metric", "table", 1e-10, "closed-form induced metric"),
     Check("shape_operator_nu1", "table", 1e-10,
           "shape operator for the unit normal J e_1 (orthonormal frame)"),
@@ -600,7 +595,7 @@ def energy_doubling(spec: ImmersionSpec, grid: tuple[int, int]):
 def _residual_maps(fr: ChartFrame) -> dict[str, np.ndarray]:
     """Per-point residual magnitudes of one frame, read by the grid and classify rows."""
     return {
-        "legendrian_defect": legendrian_defect(fr.F),
+        "legendrian_defect": fr.legendrian_defect,
         "csl_residual": np.abs(fr.div_JH),
         "willmore_legendrian_residual": fr.willmore_legendrian_residual,
         "csl_willmore_residual": fr.csl_willmore_residual,

@@ -222,6 +222,13 @@ def wrap_point(spec: ImmersionSpec, x, y):
             coords.append(t if np.isscalar(t) else t_arr)
     return coords[0], coords[1]
 
+def worst_point(values, xs, ys, pick):
+    """The entry of ``values`` that ``pick`` (``np.argmin`` or ``np.argmax``) selects,
+    and its chart point as the text ``(x, y) = (x, y)``, to 17 significant digits."""
+    values, px, py = (np.ravel(a) for a in np.broadcast_arrays(values, xs, ys))
+    i = int(pick(values))
+    return values[i], f"(x, y) = ({px[i]:.17g}, {py[i]:.17g})"
+
 
 # -- evaluation --------------------------------------------------------------
 
@@ -299,37 +306,33 @@ def evaluate_jet_batch(spec: ImmersionSpec, xs, ys, degree: int):
     except DivideByZeroJetError as exc:
         if exc.magnitude is None:  # a constant divisor: _expression_jets named it
             raise
-        mag, px, py = (np.ravel(a) for a in np.broadcast_arrays(exc.magnitude, xs, ys))
-        worst = int(np.argmin(mag))
+        smallest, point = worst_point(exc.magnitude, xs, ys, np.argmin)
         raise DivideByZeroJetError(
-            f"divisor constant term has magnitude {mag[worst]:.3e} <= {jets.DIVIDE_TOL:g} "
-            f"at chart point (x, y) = ({px[worst]:.17g}, {py[worst]:.17g}) on {spec.label}",
+            f"divisor constant term has magnitude {smallest:.3e} <= {jets.DIVIDE_TOL:g} "
+            f"at chart point {point} on {spec.label}",
             exc.magnitude,
         ) from None
     F = jets.vector(*F)
     norm_sq = np.sum(np.abs(F.value) ** 2, axis=0)
-    dev = np.abs(np.sqrt(norm_sq) - 1.0)
-    dev, px, py = (np.ravel(a) for a in np.broadcast_arrays(dev, xs, ys))
-    worst = int(np.argmax(dev))
-    if dev[worst] > SPHERE_TOL:
+    largest, point = worst_point(np.abs(np.sqrt(norm_sq) - 1.0), xs, ys, np.argmax)
+    if largest > SPHERE_TOL:
         raise NotOnSphereError(
-            f"|F| deviates from 1 by {dev[worst]:.3e} at chart point "
-            f"(x, y) = ({px[worst]:.17g}, {py[worst]:.17g}) on {spec.label}"
+            f"|F| deviates from 1 by {largest:.3e} at chart point {point} on {spec.label}"
         )
     return F
+
 
 
 # -- sampling ----------------------------------------------------------------
 
 
-def sample_points(
-    spec: ImmersionSpec, n: int, seed: int, margin: float = 0.05
-) -> tuple[np.ndarray, np.ndarray]:
-    """Seed-reproducible random chart points, kept interior on non-periodic axes.
+#: Fraction of a non-periodic axis's width that ``sample_points`` leaves out
+#: at each end, so that finite-difference stencils never leave the chart.
+SAMPLE_MARGIN = 0.05
 
-    ``margin`` is the fraction of the axis width excluded at each non-periodic
-    end so that finite-difference stencils never leave the chart.
-    """
+
+def sample_points(spec: ImmersionSpec, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seed-reproducible random chart points, ``SAMPLE_MARGIN`` inside non-periodic ends."""
     rng = np.random.default_rng(seed)
     out = []
     for axis in range(2):
@@ -338,7 +341,7 @@ def sample_points(
         if spec.periodic[axis]:
             out.append(lo + width * rng.random(n))
         else:
-            pad = margin * width
+            pad = SAMPLE_MARGIN * width
             out.append(lo + pad + (width - 2.0 * pad) * rng.random(n))
     return out[0], out[1]
 

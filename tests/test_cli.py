@@ -5,6 +5,7 @@ import math
 import os
 import pathlib
 import re
+import resource
 import subprocess
 import sys
 
@@ -559,6 +560,61 @@ def test_without_glibc_the_heap_is_left_alone_and_stdout_is_the_same(capsys, mon
     monkeypatch.setattr(cli.ctypes, "CDLL", no_call)
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == pinned
+
+
+def _limit_address_space():
+    # 2 GiB: a run that still tried to allocate its whole grid fails inside
+    # this child instead of taking the machine's memory.
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_an_oversized_grid_is_refused_before_anything_is_allocated():
+    # A 10^6 x 10^6 grid used to end in numpy's "Unable to allocate 7.28 TiB"
+    # traceback, exit 1; the bound refuses it as a configuration error.
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "legendrian_lab.cli", "verify", "--grid", "1000000x1000000"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=_limit_address_space,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert done.stderr == (
+        "error: ERR_VALIDATION: grid 1000000x1000000 sweeps 1000000000000 points, "
+        "more than the limit of 1048576\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "command, grid, refused",
+    [
+        ("verify", "16x16", False),
+        ("verify", "16x17", True),
+        ("energy", "8x8", False),  # energy counts its doubled grid, 4 nx ny points
+        ("energy", "8x9", True),
+    ],
+)
+def test_the_grid_bound_counts_the_points_a_command_sweeps(
+    capsys, monkeypatch, tmp_path, command, grid, refused
+):
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 256)
+    nx, ny = grid.split("x")
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(f"[grid]\nnx = {nx}\nny = {ny}\n")
+    for source in (["--grid", grid], ["--config", str(cfg)]):
+        rc = cli.main([command, "--surface", "calabi", *source, "--format", "json"])
+        err = capsys.readouterr().err
+        if refused:
+            points = int(nx) * int(ny) * (4 if command == "energy" else 1)
+            assert rc == 2
+            assert err == (
+                f"error: ERR_VALIDATION: grid {grid} sweeps {points} points, "
+                "more than the limit of 256\n"
+            )
+        else:
+            assert (rc, err) == (0, "")
 
 
 def test_config_file_supplies_surface_and_run_options(capsys, tmp_path):

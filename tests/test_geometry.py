@@ -51,10 +51,10 @@ def test_first_fundamental_closed_forms():
 
 
 def test_legendrian_defect_detects_scaling_and_twisting():
-    F = surfaces.evaluate_jet_batch(CALABI, [0.3], [0.7], 2)
-    assert geometry.legendrian_defect(F)[0] < 1e-13
-    scaled = F * 1.01
-    assert geometry.legendrian_defect(scaled)[0] == pytest.approx(0.0201, abs=1e-12)
+    fr = _frame(CALABI, 0.3, 0.7, 2)
+    assert fr.legendrian_defect[0] < 1e-13
+    scaled = geometry.ChartFrame(fr.F * 1.01, fr.xs, fr.ys, 2)
+    assert scaled.legendrian_defect[0] == pytest.approx(0.0201, abs=1e-12)
 
     # Multiplying the first coordinate by exp(i*x*y) keeps |F| = 1 but breaks
     # the Legendrian condition at generic points.
@@ -68,8 +68,7 @@ def test_legendrian_defect_detects_scaling_and_twisting():
         DOM,
         periodic=(False, False),
     )
-    Ft = surfaces.evaluate_jet_batch(twisted, [1.0], [1.3], 2)
-    assert geometry.legendrian_defect(Ft)[0] > 0.1
+    assert _frame(twisted, 1.0, 1.3, 2).legendrian_defect[0] > 0.1
 
 
 def test_frames_match_the_flat_torus_normalization():
@@ -194,7 +193,7 @@ POINT_QUANTITIES = {
     "kappa_brioschi": lambda fr: fr.kappa_brioschi,
     "norm_H_sq": lambda fr: fr.norm_H_sq,
     "norm_B_sq": lambda fr: fr.norm_B_sq,
-    "legendrian_defect": lambda fr: geometry.legendrian_defect(fr.F),
+    "legendrian_defect": lambda fr: fr.legendrian_defect,
 }
 
 #: A surface, an in-chart point on it, and the axis a period is added along.

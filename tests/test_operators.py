@@ -524,6 +524,19 @@ def test_masked_out_rows_do_not_compute_their_residual(monkeypatch):
         assert (by_name[name].status, by_name[name].n_skipped) == ("SKIP", 10)
 
 
+def test_a_row_with_no_residual_reads_its_own_name_from_a_dict_source():
+    row = operators.Check("drift", "energy", 1e-3, "a row of no residual")
+    source = {"drift": np.array([[1e-4, -2e-3], [0.0, 5e-4]]), "other": np.ones(4)}
+    result = row.evaluate(source)
+    assert (result.name, result.status, result.max_residual) == ("drift", "FAIL", 2e-3)
+    assert (result.n_points, result.n_skipped) == (4, 0)
+    assert row.evaluate({"drift": -5e-4}).status == "PASS"
+    named = [row for row in operators.checks_in("grid") if row.residual is None]
+    assert [row.name for row in named] == [
+        "legendrian_defect", "csl_residual", "csl_willmore_residual", "obstruction_trace",
+    ]
+
+
 @pytest.mark.parametrize("name", ALL_MEMBERS + ("control",))
 def test_willmore_implies_minimal_skips_when_no_point_is_gated(name):
     # The check reads |H| only where the Willmore-Legendrian residual is
@@ -574,8 +587,19 @@ def test_each_frame_makes_its_shared_jet_products_once(monkeypatch):
     # of every symmetric tensor is the xy object, and the product counts stay
     # at or below what that sharing gives (119 and 249 when this was written,
     # 77 and 135 once a jet-vector's three components multiply in one product).
+    # Each jet is differentiated at most once per direction: 21 partials.
     calls = {"reciprocal": 0, "product": 0}
     reciprocal, product = jets.Jet2.reciprocal, jets._product
+    partials = []  # (jet, direction): the jets stay alive, so their ids stay unique
+
+    def counted_partial(direction):
+        take = getattr(jets.Jet2, direction)
+
+        def partial(self):
+            partials.append((self, direction))
+            return take(self)
+
+        return partial
 
     def counted_reciprocal(self):
         calls["reciprocal"] += 1
@@ -587,10 +611,14 @@ def test_each_frame_makes_its_shared_jet_products_once(monkeypatch):
 
     monkeypatch.setattr(jets.Jet2, "reciprocal", counted_reciprocal)
     monkeypatch.setattr(jets, "_product", counted_product)
+    for direction in ("dx", "dy"):
+        monkeypatch.setattr(jets.Jet2, direction, counted_partial(direction))
     xs, ys = surfaces.grid_points(MIRONOV, 16, 16)
     _residual_maps(MIRONOV, xs, ys)
     assert calls["reciprocal"] == 2
     assert calls["product"] <= 80
+    assert len(partials) == 21
+    assert len({(id(jet), direction) for jet, direction in partials}) == 21
 
     calls["product"] = 0
     operators.identity_suite(MIRONOV, surfaces.sample_points(MIRONOV, 100, seed=0))

@@ -39,7 +39,6 @@ def test_modules_import_nothing_they_do_not_use():
 UNCALLED_BY_DESIGN = {
     "point_report": "the one-point public view of ChartFrame",
     "eval_complex": "plain complex evaluation, the tests' oracle for eval_jet",
-    "to_source": "prints an expression back in the public grammar",
 }
 
 

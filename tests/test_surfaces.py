@@ -29,8 +29,8 @@ def test_every_member_lands_on_the_unit_sphere(members):
 def test_every_member_satisfies_the_legendrian_conditions(members):
     for spec in members.values():
         xs, ys = surfaces.sample_points(spec, 100, seed=2)
-        F = surfaces.evaluate_jet_batch(spec, xs, ys, 1)
-        assert np.max(geometry.legendrian_defect(F)) < 1e-12
+        fr = geometry.ChartFrame.of(spec, xs, ys, degree=1)
+        assert np.max(fr.legendrian_defect) < 1e-12
 
 
 def test_flat_torus_value_and_first_derivatives_at_the_origin():
@@ -72,8 +72,7 @@ def test_geodesic_sphere_is_totally_geodesic():
     fr = geometry.ChartFrame.of(spec, xs, ys, degree=4)
     assert np.max(np.sqrt(fr.norm_B_sq)) < 1e-11
     assert np.max(np.abs(fr.kappa - 1.0)) < 1e-10
-    F = surfaces.evaluate_jet_batch(spec, xs, ys, 1)
-    assert np.max(geometry.legendrian_defect(F)) < 1e-14
+    assert np.max(geometry.ChartFrame.of(spec, xs, ys, degree=1).legendrian_defect) < 1e-14
 
 
 def test_parameter_constraints_are_enforced():

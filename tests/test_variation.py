@@ -168,9 +168,11 @@ def test_the_variations_are_legendrian_to_first_order(name):
     # The Legendrian defect of F_t is O(t^2) for V = theta R - J grad(theta)/2:
     # doubling t quadruples it.  (With +J grad(theta)/2 it would be O(t).)
     v = _variations(name)
+    xs, ys = v["frame"].xs, v["frame"].ys
     for _, V, _, _ in v["legendrian"]:
         h, h2 = (
-            np.max(geometry.legendrian_defect(_deformed(v["F"], V, t))) for t in (STEP, 2 * STEP)
+            np.max(geometry.ChartFrame(_deformed(v["F"], V, t), xs, ys, 2).legendrian_defect)
+            for t in (STEP, 2 * STEP)
         )
         assert 3.9 < h2 / h < 4.1 and h < 1e-3
 
@@ -335,7 +337,7 @@ def test_a_twisted_torus_is_legendrian_not_csl_and_its_bracket_reads_x_only(lam)
     # ODE for lam(x); a constant twist is not a solution.
     fr = _twisted_frame((1, 2, 1), lam)
     D, S = fr.div_JH, _bracket(fr)
-    assert np.max(geometry.legendrian_defect(fr.F)) <= 1e-13
+    assert np.max(fr.legendrian_defect) <= 1e-13
     assert np.max(np.abs(D)) > 0.1 and np.max(np.abs(S)) > 1.0
     tol = 1e-12 * np.max(np.abs(S))
     assert _y_spread(D, 40, 9) <= tol and _y_spread(S, 40, 9) <= tol
