@@ -38,8 +38,8 @@ from . import ambient
 from .errors import LabError, UnsupportedSurfaceError, ValidationError
 from .geometry import ChartFrame
 from .operators import (
-    CHECKS, Check, checks_in, energy_doubling, grid_residuals, run_verification, sweep,
-    willmore_energy,
+    BLOCK_POINTS, CHECKS, Check, checks_in, energy_doubling, grid_residuals, run_verification,
+    sweep, willmore_energy,
 )
 from .surfaces import ImmersionSpec, from_expression, grid_points, surface_by_name
 
@@ -115,7 +115,8 @@ def _parse_int(text: str, what: str) -> int:
 
 
 def _parse_params_string(text: str) -> dict[str, float]:
-    """'a=1,b=2.5' -> {'a': 1.0, 'b': 2.5}."""
+    """'a=1,b=2.5' -> {'a': 1.0, 'b': 2.5}; a repeated name is an error, not a
+    silent last-one-wins."""
     out: dict[str, float] = {}
     for piece in text.split(","):
         piece = piece.strip()
@@ -123,8 +124,10 @@ def _parse_params_string(text: str) -> dict[str, float]:
             continue
         if "=" not in piece:
             raise ValidationError(f"parameter {piece!r} is not of the form name=value")
-        name, value = piece.split("=", 1)
-        out[name.strip()] = _parse_float(value.strip(), f"parameter {name.strip()}")
+        name, value = (part.strip() for part in piece.split("=", 1))
+        if name in out:
+            raise ValidationError(f"parameter {name} is given twice")
+        out[name] = _parse_float(value, f"parameter {name}")
     return out
 
 
@@ -179,7 +182,10 @@ def _expression_spec_from(flat: dict[str, str], origin: str, label: str) -> Imme
         _parse_bool(periodic_text[1], "periodic y"),
     )
     params = _parse_params_string(flat.pop("params", ""))
-    params.update({k: _parse_float(v, f"parameter {k}") for k, v in flat.items()})
+    for k, v in flat.items():
+        if k in params:
+            raise ValidationError(f"parameter {k} is given twice")
+        params[k] = _parse_float(v, f"parameter {k}")
     return from_expression(
         sources,
         params=params,
@@ -591,7 +597,7 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers", type=int,
         help="processes for verify and classify grid sweeps, at most one per full block of "
-        "4096 grid points (energy and table always run in-process)",
+        f"{BLOCK_POINTS} grid points (energy and table always run in-process)",
     )
 
 

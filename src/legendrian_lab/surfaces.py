@@ -1,13 +1,13 @@
 """Catalog of parametrized Legendrian immersions into the unit 5-sphere.
 
 Each surface is described by an immutable ``ImmersionSpec`` (family name,
-parameter table, chart rectangle, periodicity flags) and evaluated through
-``evaluate_jet_batch``, which returns F as one jet-vector of the chart
-variables: one ``Jet2`` whose batch starts with the three components.  All
-chart derivatives used anywhere in the toolkit originate here, exactly, via
-jet arithmetic.
+parameter table, chart rectangle, periodicity flags, F as three expressions)
+and evaluated through ``evaluate_jet_batch``, which runs ``exprlang.eval_jet``
+on each and returns one jet-vector: one ``Jet2`` whose batch starts with the
+three components.  All chart derivatives used anywhere in the toolkit
+originate here, exactly, via jet arithmetic.
 
-Families:
+Families (their sources are ``CATALOG``):
 
 * ``calabi(r1, r2, r3, r4)`` with r1^2+r2^2 = r3^2+r4^2 = 1, all nonzero:
 
@@ -44,7 +44,7 @@ result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +57,6 @@ from .errors import (
     UnsupportedSurfaceError,
     ValidationError,
 )
-from .jets import Jet2
 
 TWO_PI = 2.0 * math.pi
 
@@ -71,6 +70,26 @@ DEFAULT_PARAMS = {
     "geodesic_sphere": {},
 }
 
+#: Each family's F as three expression-language sources, parsed once.  Source
+#: order is operation order, so it fixes the rounding of every printed number:
+#: ``u + k + a*b`` is the same function as ``u + (k + a*b)``, not the same bits.
+CATALOG = {
+    kind: tuple(map(exprlang.parse, sources))
+    for kind, sources in {
+        "calabi": (
+            "r1*r3*exp(((r2/r1)*x + (r4/r3)*y)*i)",
+            "r1*r4*exp(((r2/r1)*x - (r3/r4)*y)*i)",
+            "r2*exp(x*(-i*r1/r2))",
+        ),
+        "mironov": (
+            "sin(x)*sqrt(c/(a+c))*exp(y*(i*a))",
+            "cos(x)*sqrt(c/(b+c))*exp(y*(i*b))",
+            "sqrt(cos(x*2)*(c*(b-a)/2) + c*(a+b)/2 + a*b)*(1/sqrt((a+c)*(b+c)))*exp(y*(-i*c))",
+        ),
+        "geodesic_sphere": ("cos(x)*cos(y)", "cos(x)*sin(y)", "sin(x)"),
+    }.items()
+}
+
 
 @dataclass(frozen=True)
 class ImmersionSpec:
@@ -81,7 +100,7 @@ class ImmersionSpec:
     chart_domain: tuple[tuple[float, float], tuple[float, float]]
     periodic: tuple[bool, bool]
     label: str
-    expressions: tuple | None = field(default=None)
+    expressions: tuple  # F's three components as parsed expressions
 
 
 # -- constructors ------------------------------------------------------------
@@ -102,6 +121,7 @@ def calabi(r1: float, r2: float, r3: float, r4: float) -> ImmersionSpec:
         chart_domain=((0.0, TWO_PI), (0.0, TWO_PI)),
         periodic=(True, True),
         label=f"calabi(r1={r1:g}, r2={r2:g}, r3={r3:g}, r4={r4:g})",
+        expressions=CATALOG["calabi"],
     )
 
 
@@ -116,6 +136,7 @@ def mironov(a: float, b: float, c: float) -> ImmersionSpec:
         chart_domain=((0.0, TWO_PI), (0.0, TWO_PI)),
         periodic=(True, True),
         label=f"mironov(a={a:g}, b={b:g}, c={c:g})",
+        expressions=CATALOG["mironov"],
     )
 
 
@@ -127,6 +148,7 @@ def geodesic_sphere() -> ImmersionSpec:
         chart_domain=((-1.2, 1.2), (0.0, TWO_PI)),
         periodic=(False, True),
         label="geodesic_sphere()",
+        expressions=CATALOG["geodesic_sphere"],
     )
 
 
@@ -233,45 +255,6 @@ def worst_point(values, xs, ys, pick):
 # -- evaluation --------------------------------------------------------------
 
 
-def _calabi_jets(params, X: Jet2, Y: Jet2):
-    r1, r2, r3, r4 = (params[k] for k in ("r1", "r2", "r3", "r4"))
-    f1 = (r1 * r3) * jets.exp((X * (r2 / r1) + Y * (r4 / r3)) * 1j)
-    f2 = (r1 * r4) * jets.exp((X * (r2 / r1) - Y * (r3 / r4)) * 1j)
-    f3 = r2 * jets.exp(X * (-1j * r1 / r2))
-    return f1, f2, f3
-
-
-def _mironov_jets(params, X: Jet2, Y: Jet2):
-    a, b, c = (params[k] for k in ("a", "b", "c"))
-    u = jets.cos(X * 2.0) * (c * (b - a) / 2.0) + c * (a + b) / 2.0
-    phi = jets.sin(X) * math.sqrt(c / (a + c))
-    psi = jets.cos(X) * math.sqrt(c / (b + c))
-    zeta = jets.sqrt(u + a * b) * (1.0 / math.sqrt((a + c) * (b + c)))
-    f1 = phi * jets.exp(Y * (1j * a))
-    f2 = psi * jets.exp(Y * (1j * b))
-    f3 = zeta * jets.exp(Y * (-1j * c))
-    return f1, f2, f3
-
-
-def _sphere_jets(X: Jet2, Y: Jet2):
-    cu = jets.cos(X)
-    return cu * jets.cos(Y), cu * jets.sin(Y), jets.sin(X)
-
-
-def _expression_jets(spec: ImmersionSpec, X: Jet2, Y: Jet2):
-    """The component jets; a constant zero divisor names its surface and component."""
-    F = []
-    for k, ast in enumerate(spec.expressions, 1):
-        try:
-            F.append(exprlang.eval_jet(ast, X, Y, spec.params))
-        except DivideByZeroJetError as exc:
-            if exc.magnitude is not None:
-                raise
-            named = f"{exc.message} on {spec.label} (component f{k})"
-            raise DivideByZeroJetError(named, None) from None
-    return tuple(F)
-
-
 def evaluate_jet_batch(spec: ImmersionSpec, xs, ys, degree: int):
     """The jet-vector of F at a batch of chart points.
 
@@ -292,35 +275,28 @@ def evaluate_jet_batch(spec: ImmersionSpec, xs, ys, degree: int):
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     X, Y = jets.lift_point(xs, ys, degree)
-    try:
-        if spec.kind == "calabi":
-            F = _calabi_jets(spec.params, X, Y)
-        elif spec.kind == "mironov":
-            F = _mironov_jets(spec.params, X, Y)
-        elif spec.kind == "geodesic_sphere":
-            F = _sphere_jets(X, Y)
-        elif spec.kind == "expression":
-            F = _expression_jets(spec, X, Y)
-        else:
-            raise UnsupportedSurfaceError(f"unknown surface family {spec.kind!r}")
-    except DivideByZeroJetError as exc:
-        if exc.magnitude is None:  # a constant divisor: _expression_jets named it
-            raise
-        smallest, point = worst_point(exc.magnitude, xs, ys, np.argmin)
-        raise DivideByZeroJetError(
-            f"divisor constant term has magnitude {smallest:.3e} <= {jets.DIVIDE_TOL:g} "
-            f"at chart point {point} on {spec.label}",
-            exc.magnitude,
-        ) from None
+    F = []
+    for k, ast in enumerate(spec.expressions, 1):
+        try:
+            F.append(exprlang.eval_jet(ast, X, Y, spec.params))
+        except DivideByZeroJetError as exc:
+            if exc.magnitude is None:
+                named = f"{exc.message} on {spec.label} (component f{k})"
+            else:
+                smallest, point = worst_point(exc.magnitude, xs, ys, np.argmin)
+                named = (
+                    f"divisor constant term has magnitude {smallest:.3e} <= {jets.DIVIDE_TOL:g} "
+                    f"at chart point {point} on {spec.label}"
+                )
+            raise DivideByZeroJetError(named, exc.magnitude) from None
     F = jets.vector(*F)
     norm_sq = np.sum(np.abs(F.value) ** 2, axis=0)
     largest, point = worst_point(np.abs(np.sqrt(norm_sq) - 1.0), xs, ys, np.argmax)
-    if largest > SPHERE_TOL:
+    if not largest <= SPHERE_TOL:  # a NaN value fails too
         raise NotOnSphereError(
             f"|F| deviates from 1 by {largest:.3e} at chart point {point} on {spec.label}"
         )
     return F
-
 
 
 # -- sampling ----------------------------------------------------------------

@@ -284,6 +284,19 @@ def _divide_error(capsys, tmp_path, f1, f2):
     return captured.err
 
 
+@pytest.mark.parametrize("command", ["verify", "energy"])
+def test_a_nan_value_of_F_is_off_the_sphere(capsys, tmp_path, command):
+    # exp(800x)*exp(-800x) overflows to inf*0 = NaN for x > 0.89; NaN must
+    # fail the unit-norm gate, not print "value": NaN (invalid JSON) or nan.
+    path = tmp_path / "nan.expr"
+    path.write_text(CONTROL_EXPR.replace("f3 = sin(y)", "f3 = sin(y)*exp(800*x)*exp(-800*x)"))
+    with np.errstate(all="ignore"):
+        rc = cli.main([command, "--expr-file", str(path), "--format", "json"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "ERR_NOT_ON_SPHERE: |F| deviates from 1 by nan at chart point" in captured.err
+
+
 def test_surface_and_expr_file_flags_conflict(capsys, tmp_path):
     twin = tmp_path / "calabi.expr"
     twin.write_text(CALABI_TWIN_EXPR)
@@ -798,11 +811,15 @@ def test_unknown_config_sections_and_keys_are_configuration_errors(capsys, tmp_p
         (["--surface", "geodesic_sphere", "--params", "a=1"], "'a'"),
         (["--expr-file", "TWIN", "--params", "r1=0.5"], "--params"),
         (["--config", "CFG"], "r9"),
+        (["--surface", "mironov", "--params", "a=5,a=1"], "parameter a is given twice"),
+        (["--expr-file", "TWICE"], "parameter r4 is given twice"),
     ],
 )
 def test_unknown_surface_parameters_are_configuration_errors(capsys, tmp_path, argv, named):
-    files = {"TWIN": tmp_path / "calabi.expr", "CFG": tmp_path / "params.cfg"}
+    names = {"TWIN": "calabi.expr", "CFG": "params.cfg", "TWICE": "twice.expr"}
+    files = {key: tmp_path / name for key, name in names.items()}
     files["TWIN"].write_text(CALABI_TWIN_EXPR)
+    files["TWICE"].write_text(CALABI_TWIN_EXPR + "r4 = 0.8\n")
     files["CFG"].write_text("[surface]\nkind = calabi\nparams = r1=0.8, r9=1\n")
     argv = [str(files[a]) if a in files else a for a in argv]
     rc = cli.main(["verify", "--grid", "6x6"] + argv)

@@ -150,17 +150,51 @@ def test_conjugation_is_rejected_above_degree_zero():
     assert complex(v.value) == 0.5 - 0.25j
 
 
-def test_mironov_first_coordinate_expression_matches_the_builtin():
-    params = {"a": 1.0, "b": 2.0, "c": 1.0}
-    ast = exprlang.parse("sqrt(c/(a+c))*sin(x)*exp(i*a*y)")
-    spec = surfaces.mironov(1, 2, 1)
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        x, y = rng.uniform(0.1, 6.0, size=2)
-        X, Y = jets.lift_point([x], [y], 2)
-        built_in = surfaces.evaluate_jet_batch(spec, [x], [y], 2)
-        expr = exprlang.eval_jet(ast, X, Y, params)
-        assert np.max(np.abs(expr.coeffs - built_in.coeffs[:, 0])) < 1e-13
+def _calabi_reference(params, X, Y):
+    r1, r2, r3, r4 = (params[k] for k in ("r1", "r2", "r3", "r4"))
+    f1 = (r1 * r3) * jets.exp((X * (r2 / r1) + Y * (r4 / r3)) * 1j)
+    f2 = (r1 * r4) * jets.exp((X * (r2 / r1) - Y * (r3 / r4)) * 1j)
+    f3 = r2 * jets.exp(X * (-1j * r1 / r2))
+    return f1, f2, f3
+
+
+def _mironov_reference(params, X, Y):
+    a, b, c = (params[k] for k in ("a", "b", "c"))
+    u = jets.cos(X * 2.0) * (c * (b - a) / 2.0) + c * (a + b) / 2.0
+    phi = jets.sin(X) * math.sqrt(c / (a + c))
+    psi = jets.cos(X) * math.sqrt(c / (b + c))
+    zeta = jets.sqrt(u + a * b) * (1.0 / math.sqrt((a + c) * (b + c)))
+    f1 = phi * jets.exp(Y * (1j * a))
+    f2 = psi * jets.exp(Y * (1j * b))
+    f3 = zeta * jets.exp(Y * (-1j * c))
+    return f1, f2, f3
+
+
+def _sphere_reference(params, X, Y):
+    cu = jets.cos(X)
+    return cu * jets.cos(Y), cu * jets.sin(Y), jets.sin(X)
+
+
+def test_every_catalog_source_is_bitwise_the_hand_written_jets():
+    # The catalog's sources must round exactly as the hand-written jet code
+    # they replaced (kept here as the reference): accuracy_digits and every
+    # printed residual move with any change of rounding.
+    r1, r3 = 0.71, 0.53
+    r2, r4 = math.sqrt(1 - r1 * r1), math.sqrt(1 - r3 * r3)
+    cases = [
+        (surfaces.calabi(0.8, 0.6, 0.6, 0.8), _calabi_reference),
+        (surfaces.calabi(r1, r2, r3, r4), _calabi_reference),
+        (surfaces.mironov(1, 2, 1), _mironov_reference),
+        (surfaces.mironov(1.3, 0.7, 1.9), _mironov_reference),
+        (surfaces.geodesic_sphere(), _sphere_reference),
+    ]
+    for spec, reference in cases:
+        xs, ys = surfaces.sample_points(spec, 300, seed=5)
+        for degree in range(6):
+            F = surfaces.evaluate_jet_batch(spec, xs, ys, degree)
+            want = jets.vector(*reference(spec.params, *jets.lift_point(xs, ys, degree)))
+            assert F.coeffs.dtype == want.coeffs.dtype, (spec.label, degree)
+            assert np.array_equal(F.coeffs, want.coeffs), (spec.label, degree)
 
 
 def test_eval_jet_degree_zero_equals_complex_evaluation():

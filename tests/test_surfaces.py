@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from legendrian_lab import ambient, geometry, jets, surfaces
+from legendrian_lab import ambient, exprlang, geometry, jets, surfaces
 from legendrian_lab.errors import (
     DivideByZeroJetError,
     DomainError,
@@ -95,6 +95,13 @@ def test_surface_by_name_fills_documented_defaults():
     assert spec.params == {"a": 1.0, "b": 2.0, "c": 3.0}
     with pytest.raises(UnsupportedSurfaceError):
         surfaces.surface_by_name("klein")
+
+
+def test_every_catalog_source_is_a_valid_expression_of_its_family_parameters():
+    assert set(surfaces.CATALOG) == set(surfaces.DEFAULT_PARAMS)
+    for kind, asts in surfaces.CATALOG.items():
+        exprlang.require_valid(asts, surfaces.DEFAULT_PARAMS[kind])
+        assert surfaces.surface_by_name(kind).expressions is asts
 
 
 def test_expression_surfaces_are_gated_at_evaluation_time():
