@@ -18,6 +18,7 @@ from .errors import (
     GridError,
     LabError,
     NonAnalyticError,
+    NotFiniteError,
     NotOnSphereError,
     OrderError,
     ParamConstraintError,
@@ -77,6 +78,7 @@ __all__ = [
     "ParamConstraintError",
     "ValidationError",
     "NotOnSphereError",
+    "NotFiniteError",
     "DegenerateMetricError",
     "StencilOutOfDomainError",
     "GridError",

@@ -11,9 +11,11 @@ energy    area and Willmore energy per chart rectangle, with a grid-doubling
 classify  labels the surface (Legendrian / minimal / csL / Willmore-Legendrian
           / csL-Willmore) from grid-max residuals against printed thresholds.
 
-Configuration is flag-driven, optionally seeded from a flat ``key = value``
-file with ``[section]`` headers (see README); ``#`` starts a comment, and an
-unknown section, key or surface parameter exits 2.  Flags override file values.
+Settings come from an optional flat ``key = value`` file with ``[section]``
+headers (see README); ``#`` starts a comment, and an unknown section, key or
+surface parameter exits 2.  A flag is the top layer of its key: --grid writes
+``[grid] nx, ny`` and --seed, --workers, --format their ``[run]`` keys, and
+``build_config`` parses and bounds each setting once, whichever layer gave it.
 The environment variable LEGLAB_TOLERANCE_SCALE multiplies every tolerance.
 JSON output (--format json) is byte-deterministic for a fixed configuration.
 
@@ -60,11 +62,11 @@ class RunConfig:
     spec: ImmersionSpec
     nx: int
     ny: int
-    fmt: str = "text"
-    seed: int = 0
-    workers: int = 1
-    tolerance_scale: float = 1.0
-    checks: tuple[Check, ...] = CHECKS
+    fmt: str
+    seed: int
+    workers: int
+    tolerance_scale: float
+    checks: tuple[Check, ...]
 
 
 def _parse_flat_config(text: str, origin: str, headers=True) -> dict[str, dict[str, str]]:
@@ -107,11 +109,14 @@ def _parse_float(text: str, what: str) -> float:
     return value
 
 
-def _parse_int(text: str, what: str) -> int:
+def _parse_int(text: str, what: str, least: int) -> int:
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise ValidationError(f"{what}: expected an integer, got {text!r}") from None
+    if value < least:
+        raise ValidationError(f"{what} must be >= {least}, got {value}")
+    return value
 
 
 def _parse_params_string(text: str) -> dict[str, float]:
@@ -129,17 +134,6 @@ def _parse_params_string(text: str) -> dict[str, float]:
             raise ValidationError(f"parameter {name} is given twice")
         out[name] = _parse_float(value, f"parameter {name}")
     return out
-
-
-def _parse_grid(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise ValidationError(f"grid {text!r} is not of the form NXxNY")
-    nx = _parse_int(parts[0], "grid nx")
-    ny = _parse_int(parts[1], "grid ny")
-    if nx < 4 or ny < 4:
-        raise ValidationError(f"grid {text!r} too small: nx, ny must be >= 4")
-    return nx, ny
 
 
 def _parse_pair(text: str, what: str) -> tuple[float, float]:
@@ -177,30 +171,14 @@ def _expression_spec_from(flat: dict[str, str], origin: str, label: str) -> Imme
     periodic_text = [p.strip() for p in flat.pop("periodic", "true, true").split(",")]
     if len(periodic_text) != 2:
         raise ValidationError(f"{origin}: periodic must be 'bool, bool'")
-    periodic = (
-        _parse_bool(periodic_text[0], "periodic x"),
-        _parse_bool(periodic_text[1], "periodic y"),
-    )
+    periodic = tuple(_parse_bool(t, f"periodic {axis}") for t, axis in zip(periodic_text, "xy"))
     params = _parse_params_string(flat.pop("params", ""))
     for k, v in flat.items():
         if k in params:
             raise ValidationError(f"parameter {k} is given twice")
         params[k] = _parse_float(v, f"parameter {k}")
     return from_expression(
-        sources,
-        params=params,
-        chart_domain=(x_range, y_range),
-        periodic=periodic,
-        label=label,
-    )
-
-
-def load_expression_surface(path: str) -> ImmersionSpec:
-    """Build an expression-defined surface from a flat definition file."""
-    with open(path, encoding="utf-8") as fh:
-        flat = _parse_flat_config(fh.read(), path, headers=False)[""]
-    return _expression_spec_from(
-        flat, path, label=f"expression({os.path.basename(path)})"
+        sources, params=params, chart_domain=(x_range, y_range), periodic=periodic, label=label
     )
 
 
@@ -239,17 +217,32 @@ def _check_config_layout(file_cfg: dict[str, dict[str, str]], origin: str) -> No
                 )
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    """Merge CLI flags over the optional config file into a RunConfig."""
-    file_cfg: dict[str, dict[str, str]] = {}
+def _settings(args: argparse.Namespace) -> dict[str, dict[str, str]]:
+    """The config file's sections with each run flag written, as text, over its key."""
+    sections: dict[str, dict[str, str]] = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            file_cfg = _parse_flat_config(fh.read(), args.config)
-        _check_config_layout(file_cfg, args.config)
-    surface_cfg = file_cfg.get("surface", {})
-    run_cfg = file_cfg.get("run", {})
-    grid_cfg = file_cfg.get("grid", {})
-    tol_cfg = dict(file_cfg.get("tolerances", {}))
+            sections = _parse_flat_config(fh.read(), args.config)
+        _check_config_layout(sections, args.config)
+    if args.grid is not None:
+        sides = args.grid.lower().split("x")
+        if len(sides) != 2:
+            raise ValidationError(f"grid {args.grid!r} is not of the form NXxNY")
+        sections["grid"] = dict(zip(_CONFIG_SECTIONS["grid"], sides))
+    run = sections.setdefault("run", {})
+    for key in _CONFIG_SECTIONS["run"]:
+        if getattr(args, key) is not None:
+            run[key] = getattr(args, key)
+    return sections
+
+
+def build_config(args: argparse.Namespace) -> RunConfig:
+    """Read every setting from its top layer (flag, config file, default) into a RunConfig."""
+    settings = _settings(args)
+    surface_cfg = settings.get("surface", {})
+    run_cfg = settings["run"]
+    grid_cfg = settings.get("grid", {})
+    tol_cfg = dict(settings.get("tolerances", {}))
 
     config_expression = surface_cfg.get("kind") == "expression"
     given = {
@@ -265,11 +258,15 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ValidationError(
             "--params does not apply to an expression surface: set its parameters in its definition"
         )
-    if args.expr_file:
-        spec = load_expression_surface(args.expr_file)
-    elif expression:
-        flat = {k: v for k, v in surface_cfg.items() if k != "kind"}
-        spec = _expression_spec_from(flat, args.config, label="expression(config)")
+    if expression:
+        if args.expr_file:
+            with open(args.expr_file, encoding="utf-8") as fh:
+                flat = _parse_flat_config(fh.read(), args.expr_file, headers=False)[""]
+            origin, label = args.expr_file, os.path.basename(args.expr_file)
+        else:
+            flat = {k: v for k, v in surface_cfg.items() if k != "kind"}
+            origin, label = args.config, "config"
+        spec = _expression_spec_from(flat, origin, label=f"expression({label})")
     else:
         kind = args.surface or surface_cfg.get("kind", "calabi")
         params = _parse_params_string(surface_cfg.get("params", ""))
@@ -277,14 +274,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             params.update(_parse_params_string(args.params))
         spec = surface_by_name(kind, params)
 
-    if args.grid:
-        nx, ny = _parse_grid(args.grid)
-    else:
-        default_nx, default_ny = _DEFAULT_GRIDS[args.command]
-        nx = _parse_int(grid_cfg.get("nx", str(default_nx)), "[grid] nx")
-        ny = _parse_int(grid_cfg.get("ny", str(default_ny)), "[grid] ny")
-        if nx < 4 or ny < 4:
-            raise ValidationError("[grid] nx and ny must be >= 4")
+    default_nx, default_ny = _DEFAULT_GRIDS[args.command]
+    nx = _parse_int(grid_cfg.get("nx", str(default_nx)), "[grid] nx", 4)
+    ny = _parse_int(grid_cfg.get("ny", str(default_ny)), "[grid] ny", 4)
     points = nx * ny * (4 if args.command == "energy" else 1)
     if points > MAX_GRID_POINTS:
         raise ValidationError(
@@ -313,29 +305,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         for row in CHECKS
     )
 
-    seed = args.seed if args.seed is not None else _parse_int(run_cfg.get("seed", "0"), "[run] seed")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
-    workers = (
-        args.workers
-        if args.workers is not None
-        else _parse_int(run_cfg.get("workers", "1"), "[run] workers")
-    )
-    if workers < 1:
-        raise ValidationError("workers must be >= 1")
-    fmt = args.format or run_cfg.get("format", "text")
+    seed = _parse_int(run_cfg.get("seed", "0"), "[run] seed", 0)
+    workers = _parse_int(run_cfg.get("workers", "1"), "[run] workers", 1)
+    fmt = run_cfg.get("format", "text")
     if fmt not in ("text", "json"):
-        raise ValidationError(f"format must be text or json, got {fmt!r}")
+        raise ValidationError(f"[run] format: expected text or json, got {fmt!r}")
     return RunConfig(
-        command=args.command,
-        spec=spec,
-        nx=nx,
-        ny=ny,
-        fmt=fmt,
-        seed=seed,
-        workers=workers,
-        tolerance_scale=scale,
-        checks=checks,
+        command=args.command, spec=spec, nx=nx, ny=ny, fmt=fmt, seed=seed, workers=workers,
+        tolerance_scale=scale, checks=checks,
     )
 
 
@@ -592,10 +569,10 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--expr-file", help="flat definition file for an expression surface")
     parser.add_argument("--config", help="flat key = value configuration file")
     parser.add_argument("--grid", help="evaluation grid as NXxNY (e.g. 32x32)")
-    parser.add_argument("--format", choices=("text", "json"), help="report format")
-    parser.add_argument("--seed", type=int, help="seed for the sample-point generator")
+    parser.add_argument("--format", metavar="{text,json}", help="report format")
+    parser.add_argument("--seed", help="seed for the sample-point generator")
     parser.add_argument(
-        "--workers", type=int,
+        "--workers",
         help="processes for verify and classify grid sweeps, at most one per full block of "
         f"{BLOCK_POINTS} grid points (energy and table always run in-process)",
     )
@@ -629,11 +606,12 @@ def _pin_heap_thresholds() -> None:
         libc.mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
-_DISPATCH = {
-    "verify": cmd_verify,
-    "table": cmd_table,
-    "energy": cmd_energy,
-    "classify": cmd_classify,
+#: The subcommands: name -> (function, help line).
+_COMMANDS = {
+    "verify": (cmd_verify, "run residual and identity checks; exit 0 iff all pass"),
+    "table": (cmd_table, "closed-form vs computed geometric quantities"),
+    "energy": (cmd_energy, "area and Willmore energy with a grid-doubling check"),
+    "classify": (cmd_classify, "label the surface by its grid-max residuals"),
 }
 
 
@@ -644,18 +622,12 @@ def main(argv=None) -> int:
         description="Verification toolkit for Legendrian surfaces in the unit 5-sphere.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "verify": "run residual and identity checks; exit 0 iff all pass",
-        "table": "closed-form vs computed geometric quantities",
-        "energy": "area and Willmore energy with a grid-doubling check",
-        "classify": "label the surface by its grid-max residuals",
-    }
-    for name, text in helps.items():
+    for name, (_, text) in _COMMANDS.items():
         _add_common_arguments(subparsers.add_parser(name, help=text))
     args = parser.parse_args(argv)
     try:
         config = build_config(args)
-        return _DISPATCH[args.command](config)
+        return _COMMANDS[args.command][0](config)
     except (LabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -87,6 +87,12 @@ class NotOnSphereError(LabError):
     code = "ERR_NOT_ON_SPHERE"
 
 
+class NotFiniteError(LabError):
+    """A Taylor coefficient of an immersion overflowed to inf or NaN."""
+
+    code = "ERR_NOT_FINITE"
+
+
 class DegenerateMetricError(LabError):
     """The induced metric determinant fell below the degeneracy threshold."""
 

@@ -13,7 +13,8 @@ grammar (also documented in the README as EBNF):
 Precedence is ``^`` > unary minus > ``* /`` > ``+ -`` with left
 associativity; ``i`` is the imaginary unit; the unary functions are
 ``exp sin cos sqrt log conj re im``.  Exponents must be integer literals so
-that jet exponentiation stays exact (repeated multiplication).
+that jet exponentiation stays exact (repeated multiplication), and at most
+``MAX_EXPONENT``, so that it stays cheap.
 
 Evaluation over jets propagates holomorphic composition, which ``conj``,
 ``re`` and ``im`` break: applying them to a jet of degree >= 1 raises
@@ -39,6 +40,9 @@ from .jets import Jet2
 FUNCTIONS = ("exp", "sin", "cos", "sqrt", "log", "conj", "re", "im")
 _ANALYTIC_FUNCTIONS = ("exp", "sin", "cos", "sqrt", "log")
 VARIABLES = ("x", "y")
+
+#: Largest exponent of ``^`` (``base^n`` costs n - 1 jet products).
+MAX_EXPONENT = 64
 
 
 # -- AST nodes ---------------------------------------------------------------
@@ -244,7 +248,7 @@ def parse(text: str) -> ExprAst:
 
 
 def validate(ast: ExprAst, params: dict[str, float]) -> list[Diagnostic]:
-    """Collect diagnostics: unknown names, bad calls, non-integer exponents.
+    """Collect diagnostics: unknown names, bad calls, non-integer or too large exponents.
 
     Empty result means the AST is evaluatable against ``params``.
     """
@@ -272,6 +276,8 @@ def validate(ast: ExprAst, params: dict[str, float]) -> list[Diagnostic]:
             exp = node.exponent
             if not (isinstance(exp, Num) and float(exp.value).is_integer()):
                 out.append(Diagnostic(node.pos, "exponent must be integer literal"))
+            elif exp.value > MAX_EXPONENT:
+                out.append(Diagnostic(node.pos, f"exponent above the limit of {MAX_EXPONENT}"))
 
     walk(ast)
     return out
@@ -354,6 +360,8 @@ def eval_jet(ast: ExprAst, x_jet: Jet2, y_jet: Jet2, params: dict[str, float]) -
             exp = node.exponent
             if not (isinstance(exp, Num) and float(exp.value).is_integer()):
                 raise ValidationError("exponent must be integer literal")
+            if exp.value > MAX_EXPONENT:
+                raise ValidationError(f"exponent above the limit of {MAX_EXPONENT}")
             base = result = ev(node.base)
             for _ in range(int(exp.value) - 1):
                 result = result * base

@@ -88,12 +88,12 @@ CSL_GATE = 1e-6
 #: Widest batch a grid sweep builds one frame for (``sweep``), and the points
 #: per pool worker.  Blocks bound memory only: a point's values do not depend
 #: on the batch it sits in, and one whole 8,192-point frame reads bitwise the
-#: maps of its two blocks.  On a 2-core machine (Python 3.11, numpy 2.4) a
-#: mironov degree-5 sweep took 0.170 s serial and 0.114 s on 2 workers at
-#: 8192 points, 0.284 s and 0.205 s at 16384.  With the heap thresholds the
-#: CLI pins (``cli._pin_heap_thresholds``) a repeated 128x128 energy call
-#: makes a median of 4 minor page faults in blocks and 0 in one frame; under
-#: glibc's dynamic thresholds it made 3.8k and 9.7k.
+#: maps of its two blocks.  On a shared 2-core VM, 2 workers beat serial at
+#: 16384 mironov degree-5 points (0.205 against 0.284 s); at 8192 they won
+#: once (0.114 against 0.170 s) and lost once, in a 128x64 ``verify`` (0.208
+#: against 0.145 s).  Under the heap thresholds that ``cli.main`` pins, a
+#: repeated 128x128 energy call makes a median of 4 minor page faults in
+#: blocks and 0 in one frame; under glibc's dynamic thresholds 3.8k and 9.7k.
 BLOCK_POINTS = 4096
 
 

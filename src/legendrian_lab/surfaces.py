@@ -52,6 +52,7 @@ from . import exprlang, jets
 from .errors import (
     DivideByZeroJetError,
     DomainError,
+    NotFiniteError,
     NotOnSphereError,
     ParamConstraintError,
     UnsupportedSurfaceError,
@@ -255,15 +256,18 @@ def worst_point(values, xs, ys, pick):
 # -- evaluation --------------------------------------------------------------
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate_jet_batch(spec: ImmersionSpec, xs, ys, degree: int):
     """The jet-vector of F at a batch of chart points.
 
     ``xs``/``ys`` are arrays of equal shape; returns one jet of batch shape
     ``(3,) + xs.shape``, whose ``value`` stacks the three components.  Raises
     ERR_NOT_ON_SPHERE if any evaluated value leaves the unit sphere by more
-    than 1e-10, and ERR_DIVIDE_BY_ZERO_JET naming the chart point of the
-    smallest divisor (or the offset and component of a constant one) when a
-    formula divides by zero.
+    than 1e-10 or is NaN, then ERR_NOT_FINITE naming the first chart point
+    where a derivative is inf or NaN, and ERR_DIVIDE_BY_ZERO_JET naming the
+    chart point of the smallest divisor (or the offset and component of a
+    constant one) when a formula divides by zero.  Since these errors name the
+    point, numpy's overflow and invalid-value warnings are not raised.
 
     Points are evaluated on the universal cover: no wrap, no domain check
     (``wrap_point`` does both).  Finite-difference stencils need this, because
@@ -295,6 +299,11 @@ def evaluate_jet_batch(spec: ImmersionSpec, xs, ys, degree: int):
     if not largest <= SPHERE_TOL:  # a NaN value fails too
         raise NotOnSphereError(
             f"|F| deviates from 1 by {largest:.3e} at chart point {point} on {spec.label}"
+        )
+    finite, point = worst_point(np.isfinite(F.coeffs).all(axis=(0, 1)), xs, ys, np.argmin)
+    if not finite:
+        raise NotFiniteError(
+            f"F has a non-finite derivative at chart point {point} on {spec.label}"
         )
     return F
 

@@ -8,12 +8,13 @@ import re
 import resource
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from conftest import CONTROL
-from legendrian_lab import ambient, cli, geometry, operators, surfaces
+from legendrian_lab import ambient, cli, exprlang, geometry, operators, surfaces
 
 CALABI_TWIN_EXPR = """\
 # flat-torus family written out as an expression surface
@@ -289,12 +290,50 @@ def test_a_nan_value_of_F_is_off_the_sphere(capsys, tmp_path, command):
     # exp(800x)*exp(-800x) overflows to inf*0 = NaN for x > 0.89; NaN must
     # fail the unit-norm gate, not print "value": NaN (invalid JSON) or nan.
     path = tmp_path / "nan.expr"
+    # numpy's overflow warnings (errors under this suite) must not reach stderr.
     path.write_text(CONTROL_EXPR.replace("f3 = sin(y)", "f3 = sin(y)*exp(800*x)*exp(-800*x)"))
-    with np.errstate(all="ignore"):
-        rc = cli.main([command, "--expr-file", str(path), "--format", "json"])
+    rc = cli.main([command, "--expr-file", str(path), "--format", "json"])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
-    assert "ERR_NOT_ON_SPHERE: |F| deviates from 1 by nan at chart point" in captured.err
+    assert captured.err.startswith(
+        "error: ERR_NOT_ON_SPHERE: |F| deviates from 1 by nan at chart point"
+    )
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "classify", "energy"])
+def test_an_overflowing_derivative_of_F_is_not_finite(capsys, tmp_path, command):
+    # F's values stay finite on x < 2.36, but the Taylor coefficients
+    # 300^n exp(300 x) / n! overflow there: without the gate classify printed
+    # "value": NaN (invalid JSON) and energy exited 1 with NaN.
+    path = tmp_path / "overflow.expr"
+    path.write_text(
+        CONTROL_EXPR.replace("f1 = cos(y)", "f1 = exp(300*x)*exp(-300*x)*cos(y)")
+        + "x_range = 2.29, 2.36\n"
+    )
+    rc = cli.main([command, "--expr-file", str(path), "--format", "json"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert re.fullmatch(
+        r"error: ERR_NOT_FINITE: F has a non-finite derivative at chart point "
+        r"\(x, y\) = \(2\.\d+, -?\d\.\d+\) on expression\(overflow\.expr\)\n",
+        captured.err,
+    )
+
+
+def test_a_huge_exponent_is_refused_before_any_evaluation(capsys, tmp_path):
+    path = tmp_path / "power.expr"
+    path.write_text(CONTROL_EXPR.replace("f3 = sin(y)", "f3 = sin(y)*(x/x)^1000000000"))
+    start = time.perf_counter()
+    rc = cli.main(["classify", "--expr-file", str(path), "--grid", "4x4"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == (
+        "error: ERR_VALIDATION: invalid expression(s): offset 12: exponent above the limit of "
+        f"{exprlang.MAX_EXPONENT}\n"
+    )
+    assert elapsed < 1.0
 
 
 def test_surface_and_expr_file_flags_conflict(capsys, tmp_path):
@@ -829,12 +868,30 @@ def test_unknown_surface_parameters_are_configuration_errors(capsys, tmp_path, a
     assert captured.out == ""
 
 
-def test_negative_seed_is_a_configuration_error(capsys, tmp_path):
-    cfg = tmp_path / "seed.cfg"
-    cfg.write_text("[run]\nseed = -1\n")
-    for argv in (["--seed", "-1"], ["--config", str(cfg)]):
-        rc = cli.main(["verify", "--surface", "calabi", "--grid", "6x6"] + argv)
+@pytest.mark.parametrize(
+    "flag, section, key",
+    [
+        (["--seed", "abc"], "[run]\nseed = abc\n", "[run] seed"),
+        (["--seed", "-1"], "[run]\nseed = -1\n", "[run] seed"),
+        (["--workers", "x"], "[run]\nworkers = x\n", "[run] workers"),
+        (["--workers", "0"], "[run]\nworkers = 0\n", "[run] workers"),
+        (["--format", "xml"], "[run]\nformat = xml\n", "[run] format"),
+        (["--grid", "3x8"], "[grid]\nnx = 3\n", "[grid] nx"),
+        (["--grid", "16x"], "[grid]\nnx = 16\nny =\n", "[grid] ny"),
+    ],
+    ids=["seed_abc", "seed_negative", "workers_x", "workers_0", "format_xml", "grid_3x8",
+         "grid_16x"],
+)
+def test_a_flag_is_read_like_its_config_key(capsys, tmp_path, flag, section, key):
+    # A flag is the top layer of its key: one parser and one bound for both.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(section)
+    errors = []
+    for source in (flag, ["--config", str(cfg)]):
+        rc = cli.main(["verify", "--surface", "calabi", *source])
         captured = capsys.readouterr()
-        assert rc == 2, argv
-        assert "ERR_VALIDATION" in captured.err and "seed" in captured.err
-        assert captured.out == ""
+        assert (rc, captured.out) == (2, ""), source
+        assert captured.err.startswith(f"error: ERR_VALIDATION: {key}")
+        assert captured.err.count("\n") == 1
+        errors.append(captured.err)
+    assert errors[0] == errors[1]

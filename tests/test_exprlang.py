@@ -50,6 +50,19 @@ def test_validate_reports_unknown_parameters_and_bad_exponents():
     assert len(diags) == 1 and "exponent must be integer literal" in diags[0].message
 
 
+def test_an_exponent_above_the_limit_is_refused_at_its_caret():
+    # x^n costs n - 1 jet products, so a huge literal would run for hours.
+    limit = exprlang.MAX_EXPONENT
+    assert exprlang.validate(exprlang.parse(f"sin(x)*x^{limit}"), {}) == []
+    diags = exprlang.validate(exprlang.parse(f"sin(x)*(x/x)^{limit + 1}"), {})
+    assert [(d.position, d.message) for d in diags] == [
+        (12, f"exponent above the limit of {limit}")
+    ]
+    X, Y = jets.lift_point(np.linspace(0.1, 2.0, 7), np.zeros(7), 5)
+    with pytest.raises(ValidationError, match="exponent above the limit"):
+        exprlang.eval_jet(exprlang.parse("x^1000000000"), X, Y, {})
+
+
 def test_eval_jet_on_a_plain_product():
     X, Y = jets.lift_point(2.0, 3.0, 2)
     v = exprlang.eval_jet(exprlang.parse("x*y"), X, Y, {})
