@@ -19,8 +19,8 @@ surface parameter exits 2.  A flag is the top layer of its key: --grid writes
 The environment variable LEGLAB_TOLERANCE_SCALE multiplies every tolerance.
 JSON output (--format json) is byte-deterministic for a fixed configuration.
 
-Exit codes: 0 all checks pass, 1 a numeric check failed, 2 configuration or
-parse error.
+Exit codes: 0 all checks pass, 1 a numeric check failed, 2 configuration,
+usage or parse error (one ``error: ERR_<CODE>: ...`` line on stderr).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .operators import (
     BLOCK_POINTS, CHECKS, Check, checks_in, energy_doubling, grid_residuals, run_verification,
     sweep, willmore_energy,
 )
-from .surfaces import ImmersionSpec, from_expression, grid_points, surface_by_name
+from .surfaces import CATALOG, ImmersionSpec, from_expression, grid_points, surface_by_name
 
 
 # -- run configuration ---------------------------------------------------------
@@ -99,21 +99,25 @@ def _parse_flat_config(text: str, origin: str, headers=True) -> dict[str, dict[s
     return sections
 
 
-def _parse_float(text: str, what: str) -> float:
+def _number(convert, text: str, what: str, expected: str):
+    """``convert(text)``, but ASCII digits only: no ``1_0``, no other script's digits."""
     try:
-        value = float(text)
+        if text.isascii() and "_" not in text:
+            return convert(text)
     except ValueError:
-        raise ValidationError(f"{what}: expected a number, got {text!r}") from None
+        pass
+    raise ValidationError(f"{what}: expected {expected}, got {text!r}")
+
+
+def _parse_float(text: str, what: str) -> float:
+    value = _number(float, text, what, "a number")
     if not math.isfinite(value):
         raise ValidationError(f"{what}: expected a finite number, got {text!r}")
     return value
 
 
 def _parse_int(text: str, what: str, least: int) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise ValidationError(f"{what}: expected an integer, got {text!r}") from None
+    value = _number(int, text, what, "an integer")
     if value < least:
         raise ValidationError(f"{what} must be >= {least}, got {value}")
     return value
@@ -564,7 +568,7 @@ def cmd_classify(config: RunConfig) -> int:
 
 
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--surface", help="catalog family: calabi, mironov, geodesic_sphere")
+    parser.add_argument("--surface", help=f"catalog family: {', '.join(CATALOG)}")
     parser.add_argument("--params", help="comma-separated name=value parameter overrides")
     parser.add_argument("--expr-file", help="flat definition file for an expression surface")
     parser.add_argument("--config", help="flat key = value configuration file")
@@ -615,17 +619,23 @@ _COMMANDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """A usage error is ERR_VALIDATION, like every other bad setting."""
+        raise ValidationError(message)
+
+
 def main(argv=None) -> int:
     _pin_heap_thresholds()
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="legendrian-lab",
         description="Verification toolkit for Legendrian surfaces in the unit 5-sphere.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     for name, (_, text) in _COMMANDS.items():
         _add_common_arguments(subparsers.add_parser(name, help=text))
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         config = build_config(args)
         return _COMMANDS[args.command][0](config)
     except (LabError, OSError) as exc:

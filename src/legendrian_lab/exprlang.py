@@ -14,7 +14,8 @@ Precedence is ``^`` > unary minus > ``* /`` > ``+ -`` with left
 associativity; ``i`` is the imaginary unit; the unary functions are
 ``exp sin cos sqrt log conj re im``.  Exponents must be integer literals so
 that jet exponentiation stays exact (repeated multiplication), and at most
-``MAX_EXPONENT``, so that it stays cheap.
+``MAX_EXPONENT``, so that it stays cheap.  ``validate`` is the one judge of
+these rules and of names; ``eval_jet`` runs it before evaluating anything.
 
 Evaluation over jets propagates holomorphic composition, which ``conj``,
 ``re`` and ``im`` break: applying them to a jet of degree >= 1 raises
@@ -38,7 +39,6 @@ from .errors import DivideByZeroJetError, NonAnalyticError, SyntaxParseError, Va
 from .jets import Jet2
 
 FUNCTIONS = ("exp", "sin", "cos", "sqrt", "log", "conj", "re", "im")
-_ANALYTIC_FUNCTIONS = ("exp", "sin", "cos", "sqrt", "log")
 VARIABLES = ("x", "y")
 
 #: Largest exponent of ``^`` (``base^n`` costs n - 1 jet products).
@@ -110,7 +110,7 @@ class Diagnostic:
 
 # -- tokenizer ---------------------------------------------------------------
 
-_NUMBER_RE = _re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_NUMBER_RE = _re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?", _re.ASCII)
 _IDENT_RE = _re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _OPERATORS = "+-*/^()"
 
@@ -274,7 +274,8 @@ def validate(ast: ExprAst, params: dict[str, float]) -> list[Diagnostic]:
         elif isinstance(node, Pow):
             walk(node.base)
             exp = node.exponent
-            if not (isinstance(exp, Num) and float(exp.value).is_integer()):
+            # The grammar's literals are non-negative; a built AST may hold any Num.
+            if not (isinstance(exp, Num) and float(exp.value).is_integer() and exp.value >= 0):
                 out.append(Diagnostic(node.pos, "exponent must be integer literal"))
             elif exp.value > MAX_EXPONENT:
                 out.append(Diagnostic(node.pos, f"exponent above the limit of {MAX_EXPONENT}"))
@@ -289,6 +290,17 @@ def _params_read(node: ExprAst) -> set[str]:
         return {node.name}
     children = (v for v in vars(node).values() if isinstance(v, ExprAst))
     return set().union(*map(_params_read, children))
+
+
+def _refuse(diags: list[Diagnostic]) -> None:
+    """Raise ERR_VALIDATION carrying ``diags`` as ``.diagnostics``, if there are any."""
+    if diags:
+        summary = "; ".join(
+            f"offset {d.position}: {d.message}" if d.position >= 0 else d.message for d in diags
+        )
+        err = ValidationError(f"invalid expression(s): {summary}")
+        err.diagnostics = diags
+        raise err
 
 
 def require_valid(asts, params: dict[str, float]) -> None:
@@ -306,27 +318,23 @@ def require_valid(asts, params: dict[str, float]) -> None:
         for name in params
         if name not in read
     )
-    if diags:
-        summary = "; ".join(
-            f"offset {d.position}: {d.message}" if d.position >= 0 else d.message for d in diags
-        )
-        err = ValidationError(f"invalid expression(s): {summary}")
-        err.diagnostics = diags
-        raise err
+    _refuse(diags)
 
 
 # -- evaluation --------------------------------------------------------------
 
 
 def eval_jet(ast: ExprAst, x_jet: Jet2, y_jet: Jet2, params: dict[str, float]) -> Jet2:
-    """Evaluate over jet arithmetic (callers should validate first).
+    """Evaluate over jet arithmetic, once ``validate`` finds nothing to flag
+    (else ERR_VALIDATION carrying its diagnostics, before any jet is computed).
 
     Constants fold: a subtree without ``x`` and ``y`` evaluates to a scalar
     that meets jets through ``Jet2``'s scalar arithmetic, and a constant
-    result is lifted once, to the batch of ``x_jet``.  Errors do not change,
-    except that a constant divisor names the offset of its ``/``, not a chart
-    point (its ``magnitude`` is None).
+    result is lifted once, to the batch of ``x_jet``.  Folding changes no
+    error, except that a constant divisor names the offset of its ``/``, not
+    a chart point (its ``magnitude`` is None).
     """
+    _refuse(validate(ast, params))
     degree = min(x_jet.degree, y_jet.degree)
 
     def ev(node: ExprAst) -> Jet2 | complex:
@@ -337,10 +345,7 @@ def eval_jet(ast: ExprAst, x_jet: Jet2, y_jet: Jet2, params: dict[str, float]) -
         if isinstance(node, Var):
             return x_jet if node.name == "x" else y_jet
         if isinstance(node, Param):
-            try:
-                return params[node.name]
-            except KeyError:
-                raise ValidationError(f"unknown parameter {node.name}") from None
+            return params[node.name]
         if isinstance(node, Neg):
             return -ev(node.arg)
         if isinstance(node, BinOp):
@@ -357,28 +362,20 @@ def eval_jet(ast: ExprAst, x_jet: Jet2, y_jet: Jet2, params: dict[str, float]) -
                     f"<= {jets.DIVIDE_TOL:g} at offset {node.pos}", None)
             return a / b
         if isinstance(node, Pow):
-            exp = node.exponent
-            if not (isinstance(exp, Num) and float(exp.value).is_integer()):
-                raise ValidationError("exponent must be integer literal")
-            if exp.value > MAX_EXPONENT:
-                raise ValidationError(f"exponent above the limit of {MAX_EXPONENT}")
+            n = int(node.exponent.value)
             base = result = ev(node.base)
-            for _ in range(int(exp.value) - 1):
+            for _ in range(n - 1):
                 result = result * base
-            return result if exp.value else 1.0
+            return result if n else 1.0
         if isinstance(node, Call):
             arg = ev(node.arg)
             jet = arg if isinstance(arg, Jet2) else jets.constant(arg, 0)
-            if node.func in _ANALYTIC_FUNCTIONS:
+            if node.func not in ("conj", "re", "im"):
                 out = jets.analytic(node.func, jet)
-            elif node.func in ("conj", "re", "im"):
-                if degree >= 1:
-                    raise NonAnalyticError(
-                        f"{node.func} is not analytic: only degree-0 jets allowed"
-                    )
-                out = {"conj": jet.conjugate, "re": jet.real_part, "im": jet.imag_part}[node.func]()
+            elif degree >= 1:
+                raise NonAnalyticError(f"{node.func} is not analytic: only degree-0 jets allowed")
             else:
-                raise ValidationError(f"unknown function {node.func}")
+                out = {"conj": jet.conjugate, "re": jet.real_part, "im": jet.imag_part}[node.func]()
             return out if jet is arg else out.value
         raise ValidationError(f"unknown AST node {node!r}")
 

@@ -102,14 +102,13 @@ BLOCK_POINTS = 4096
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One named residual check: aggregate magnitudes and pass/fail status."""
+    """One named residual check: its largest |residual| and pass/fail status."""
 
     name: str
     description: str
     n_points: int
     n_skipped: int
     max_residual: float
-    rms_residual: float
     tolerance: float
     status: str  # PASS | FAIL | SKIP
 
@@ -169,7 +168,7 @@ class Check:
         if used is not None:
             residuals = residuals[used]
         if residuals.size == 0:
-            return CheckResult(self.name, self.description, n, n, 0.0, 0.0, self.tolerance, "SKIP")
+            return CheckResult(self.name, self.description, n, n, 0.0, self.tolerance, "SKIP")
         max_r = float(np.max(np.abs(residuals)))
         return CheckResult(
             name=self.name,
@@ -177,7 +176,6 @@ class Check:
             n_points=n,
             n_skipped=n - residuals.size,
             max_residual=max_r,
-            rms_residual=float(np.sqrt(np.mean(residuals**2))),
             tolerance=self.tolerance,
             status="PASS" if max_r < self.tolerance else "FAIL",
         )

@@ -7,7 +7,9 @@ on each and returns one jet-vector: one ``Jet2`` whose batch starts with the
 three components.  All chart derivatives used anywhere in the toolkit
 originate here, exactly, via jet arithmetic.
 
-Families (their sources are ``CATALOG``):
+Families: each is one ``CATALOG`` row (its sources, default parameters in
+label order, chart rectangle, periodic axes and constructor, which checks the
+parameter constraints), and one helper builds every catalog spec from its row.
 
 * ``calabi(r1, r2, r3, r4)`` with r1^2+r2^2 = r3^2+r4^2 = 1, all nonzero:
 
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -64,39 +67,12 @@ TWO_PI = 2.0 * math.pi
 #: Unit-norm gate applied by evaluate_jet_batch to every evaluated point.
 SPHERE_TOL = 1e-10
 
-#: Built-in parameter defaults for reproducible runs without flags.
-DEFAULT_PARAMS = {
-    "calabi": {"r1": 0.8, "r2": 0.6, "r3": 0.6, "r4": 0.8},
-    "mironov": {"a": 1.0, "b": 2.0, "c": 1.0},
-    "geodesic_sphere": {},
-}
-
-#: Each family's F as three expression-language sources, parsed once.  Source
-#: order is operation order, so it fixes the rounding of every printed number:
-#: ``u + k + a*b`` is the same function as ``u + (k + a*b)``, not the same bits.
-CATALOG = {
-    kind: tuple(map(exprlang.parse, sources))
-    for kind, sources in {
-        "calabi": (
-            "r1*r3*exp(((r2/r1)*x + (r4/r3)*y)*i)",
-            "r1*r4*exp(((r2/r1)*x - (r3/r4)*y)*i)",
-            "r2*exp(x*(-i*r1/r2))",
-        ),
-        "mironov": (
-            "sin(x)*sqrt(c/(a+c))*exp(y*(i*a))",
-            "cos(x)*sqrt(c/(b+c))*exp(y*(i*b))",
-            "sqrt(cos(x*2)*(c*(b-a)/2) + c*(a+b)/2 + a*b)*(1/sqrt((a+c)*(b+c)))*exp(y*(-i*c))",
-        ),
-        "geodesic_sphere": ("cos(x)*cos(y)", "cos(x)*sin(y)", "sin(x)"),
-    }.items()
-}
-
 
 @dataclass(frozen=True)
 class ImmersionSpec:
     """Immutable description of one surface; construction validates params."""
 
-    kind: str  # calabi | mironov | geodesic_sphere | expression
+    kind: str  # a CATALOG key, or "expression"
     params: dict[str, float]
     chart_domain: tuple[tuple[float, float], tuple[float, float]]
     periodic: tuple[bool, bool]
@@ -104,7 +80,27 @@ class ImmersionSpec:
     expressions: tuple  # F's three components as parsed expressions
 
 
+class Family(NamedTuple):
+    """One catalog row: everything that defines a family but its parameter values."""
+
+    expressions: tuple  # F's three components, parsed
+    defaults: dict[str, float]  # in label order
+    chart_domain: tuple[tuple[float, float], tuple[float, float]]
+    periodic: tuple[bool, bool]
+    constructor: Callable[..., ImmersionSpec]  # checks the parameter constraints
+
+
 # -- constructors ------------------------------------------------------------
+
+
+def _catalog_spec(kind: str, *values: float) -> ImmersionSpec:
+    """The family ``kind`` at ``values``, given in its row's parameter order."""
+    row = CATALOG[kind]
+    params = dict(zip(row.defaults, map(float, values)))
+    label = ", ".join(f"{name}={value:g}" for name, value in params.items())
+    return ImmersionSpec(
+        kind, params, row.chart_domain, row.periodic, f"{kind}({label})", row.expressions
+    )
 
 
 def calabi(r1: float, r2: float, r3: float, r4: float) -> ImmersionSpec:
@@ -115,42 +111,44 @@ def calabi(r1: float, r2: float, r3: float, r4: float) -> ImmersionSpec:
         raise ParamConstraintError("calabi requires r3^2 + r4^2 = 1")
     if min(abs(r1), abs(r2), abs(r3), abs(r4)) == 0.0:
         raise ParamConstraintError("calabi requires all r_i nonzero")
-    params = {"r1": float(r1), "r2": float(r2), "r3": float(r3), "r4": float(r4)}
-    return ImmersionSpec(
-        kind="calabi",
-        params=params,
-        chart_domain=((0.0, TWO_PI), (0.0, TWO_PI)),
-        periodic=(True, True),
-        label=f"calabi(r1={r1:g}, r2={r2:g}, r3={r3:g}, r4={r4:g})",
-        expressions=CATALOG["calabi"],
-    )
+    return _catalog_spec("calabi", r1, r2, r3, r4)
 
 
 def mironov(a: float, b: float, c: float) -> ImmersionSpec:
     """Torus family with diagonal metric diag(u/(ab+u), u); a, b, c > 0."""
     if not (a > 0 and b > 0 and c > 0):
         raise ParamConstraintError("mironov requires a > 0, b > 0, c > 0")
-    params = {"a": float(a), "b": float(b), "c": float(c)}
-    return ImmersionSpec(
-        kind="mironov",
-        params=params,
-        chart_domain=((0.0, TWO_PI), (0.0, TWO_PI)),
-        periodic=(True, True),
-        label=f"mironov(a={a:g}, b={b:g}, c={c:g})",
-        expressions=CATALOG["mironov"],
-    )
+    return _catalog_spec("mironov", a, b, c)
 
 
 def geodesic_sphere() -> ImmersionSpec:
-    """Totally geodesic real 2-sphere; chart keeps clear of the poles."""
-    return ImmersionSpec(
-        kind="geodesic_sphere",
-        params={},
-        chart_domain=((-1.2, 1.2), (0.0, TWO_PI)),
-        periodic=(False, True),
-        label="geodesic_sphere()",
-        expressions=CATALOG["geodesic_sphere"],
-    )
+    """Totally geodesic real 2-sphere."""
+    return _catalog_spec("geodesic_sphere")
+
+
+_TORUS = ((0.0, TWO_PI), (0.0, TWO_PI))
+
+#: The catalog, one row per family.  Source order is operation order, so it
+#: fixes the rounding of every printed number: ``u + k + a*b`` is the same
+#: function as ``u + (k + a*b)``, not the same bits.
+CATALOG = {
+    kind: Family(tuple(map(exprlang.parse, sources)), *rest)
+    for kind, (sources, *rest) in {
+        "calabi": ((
+            "r1*r3*exp(((r2/r1)*x + (r4/r3)*y)*i)",
+            "r1*r4*exp(((r2/r1)*x - (r3/r4)*y)*i)",
+            "r2*exp(x*(-i*r1/r2))",
+        ), {"r1": 0.8, "r2": 0.6, "r3": 0.6, "r4": 0.8}, _TORUS, (True, True), calabi),
+        "mironov": ((
+            "sin(x)*sqrt(c/(a+c))*exp(y*(i*a))",
+            "cos(x)*sqrt(c/(b+c))*exp(y*(i*b))",
+            "sqrt(cos(x*2)*(c*(b-a)/2) + c*(a+b)/2 + a*b)*(1/sqrt((a+c)*(b+c)))*exp(y*(-i*c))",
+        ), {"a": 1.0, "b": 2.0, "c": 1.0}, _TORUS, (True, True), mironov),
+        # The chart keeps clear of the poles.
+        "geodesic_sphere": (("cos(x)*cos(y)", "cos(x)*sin(y)", "sin(x)"), {},
+                            ((-1.2, 1.2), (0.0, TWO_PI)), (False, True), geodesic_sphere),
+    }.items()
+}
 
 
 def from_expression(
@@ -189,21 +187,17 @@ def surface_by_name(kind: str, params: dict[str, float] | None = None) -> Immers
 
     A parameter the family does not have is an error, never dropped.
     """
-    if kind not in DEFAULT_PARAMS:
+    if kind not in CATALOG:
         raise UnsupportedSurfaceError(
-            f"unknown surface family {kind!r} (expected calabi, mironov, geodesic_sphere)"
+            f"unknown surface family {kind!r} (expected {', '.join(CATALOG)})"
         )
-    merged = dict(DEFAULT_PARAMS[kind])
+    merged = dict(CATALOG[kind].defaults)
     unknown = sorted(set(params or {}) - set(merged))
     if unknown:
         expected = ", ".join(merged) or "none"
         raise ValidationError(f"{kind} has no parameter {unknown[0]!r} (expected: {expected})")
     merged.update(params or {})
-    if kind == "calabi":
-        return calabi(merged["r1"], merged["r2"], merged["r3"], merged["r4"])
-    if kind == "mironov":
-        return mironov(merged["a"], merged["b"], merged["c"])
-    return geodesic_sphere()
+    return CATALOG[kind].constructor(**merged)
 
 
 # -- chart handling ----------------------------------------------------------

@@ -852,6 +852,7 @@ def test_unknown_config_sections_and_keys_are_configuration_errors(capsys, tmp_p
         (["--config", "CFG"], "r9"),
         (["--surface", "mironov", "--params", "a=5,a=1"], "parameter a is given twice"),
         (["--expr-file", "TWICE"], "parameter r4 is given twice"),
+        (["--surface", "mironov", "--params", "a=1_0"], "parameter a: expected a number"),
     ],
 )
 def test_unknown_surface_parameters_are_configuration_errors(capsys, tmp_path, argv, named):
@@ -878,14 +879,17 @@ def test_unknown_surface_parameters_are_configuration_errors(capsys, tmp_path, a
         (["--format", "xml"], "[run]\nformat = xml\n", "[run] format"),
         (["--grid", "3x8"], "[grid]\nnx = 3\n", "[grid] nx"),
         (["--grid", "16x"], "[grid]\nnx = 16\nny =\n", "[grid] ny"),
+        (["--seed", "1_0"], "[run]\nseed = 1_0\n", "[run] seed"),
+        (["--grid", "1_6x16"], "[grid]\nnx = 1_6\n", "[grid] nx"),
+        (["--seed", "\u0663"], "[run]\nseed = \u0663\n", "[run] seed"),
     ],
     ids=["seed_abc", "seed_negative", "workers_x", "workers_0", "format_xml", "grid_3x8",
-         "grid_16x"],
+         "grid_16x", "seed_separator", "grid_separator", "seed_arabic_indic_digit"],
 )
 def test_a_flag_is_read_like_its_config_key(capsys, tmp_path, flag, section, key):
     # A flag is the top layer of its key: one parser and one bound for both.
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(section)
+    cfg.write_text(section, encoding="utf-8")
     errors = []
     for source in (flag, ["--config", str(cfg)]):
         rc = cli.main(["verify", "--surface", "calabi", *source])
@@ -895,3 +899,29 @@ def test_a_flag_is_read_like_its_config_key(capsys, tmp_path, flag, section, key
         assert captured.err.count("\n") == 1
         errors.append(captured.err)
     assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify", "--surface", "calabi", "--grd", "3"], "unrecognized arguments: --grd 3"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["unknown_flag", "unknown_command", "no_command"],
+)
+def test_a_usage_error_is_one_validation_line(capsys, argv, message):
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "")
+    assert captured.err.startswith(f"error: ERR_VALIDATION: {message}")
+    assert captured.err.count("\n") == 1
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["verify", "--help"])
+    captured = capsys.readouterr()
+    assert stop.value.code == 0 and captured.err == ""
+    assert captured.out.startswith("usage: legendrian-lab verify [-h] [--surface SURFACE]")
+    assert "catalog family: calabi, mironov, geodesic_sphere" in captured.out

