@@ -186,10 +186,9 @@ def _expression_spec_from(flat: dict[str, str], origin: str, label: str) -> Imme
     )
 
 
-_DEFAULT_GRIDS = {"verify": (16, 16), "table": (32, 32), "energy": (64, 64), "classify": (16, 16)}
-
-#: Most grid points one command may sweep; ``energy`` counts its doubled grid,
-#: 4 nx ny points.  A larger grid is refused before anything is allocated.
+#: Most points one command may sweep: nx ny times its ``_COMMANDS`` row's points
+#: per node (energy's 4 count its doubled grid).  A larger grid is refused before
+#: anything is allocated.
 MAX_GRID_POINTS = 1 << 20
 
 #: The sections of a --config file and the keys each may hold.  None leaves
@@ -278,10 +277,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             params.update(_parse_params_string(args.params))
         spec = surface_by_name(kind, params)
 
-    default_nx, default_ny = _DEFAULT_GRIDS[args.command]
+    _, _, (default_nx, default_ny), per_node = _COMMANDS[args.command]
     nx = _parse_int(grid_cfg.get("nx", str(default_nx)), "[grid] nx", 4)
     ny = _parse_int(grid_cfg.get("ny", str(default_ny)), "[grid] ny", 4)
-    points = nx * ny * (4 if args.command == "energy" else 1)
+    points = nx * ny * per_node
     if points > MAX_GRID_POINTS:
         raise ValidationError(
             f"grid {nx}x{ny} sweeps {points} points, more than the limit of {MAX_GRID_POINTS}"
@@ -339,11 +338,12 @@ def _check_rows(checks, words=None) -> list[dict]:
 
 
 def _aggregates(checks) -> dict:
+    n_failed = sum(not c.passed for c in checks)
     return {
-        "all_pass": all(c.status != "FAIL" for c in checks),
+        "all_pass": n_failed == 0,
         "n_checks": len(checks),
-        "n_failed": sum(1 for c in checks if c.status == "FAIL"),
-        "n_skipped": sum(1 for c in checks if c.status == "SKIP"),
+        "n_failed": n_failed,
+        "n_skipped": sum(c.status == "SKIP" for c in checks),
     }
 
 
@@ -610,12 +610,13 @@ def _pin_heap_thresholds() -> None:
         libc.mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
-#: The subcommands: name -> (function, help line).
+#: The subcommands: name -> (function, help line, default grid, points swept
+#: per grid node).
 _COMMANDS = {
-    "verify": (cmd_verify, "run residual and identity checks; exit 0 iff all pass"),
-    "table": (cmd_table, "closed-form vs computed geometric quantities"),
-    "energy": (cmd_energy, "area and Willmore energy with a grid-doubling check"),
-    "classify": (cmd_classify, "label the surface by its grid-max residuals"),
+    "verify": (cmd_verify, "run residual and identity checks; exit 0 iff all pass", (16, 16), 1),
+    "table": (cmd_table, "closed-form vs computed geometric quantities", (32, 32), 1),
+    "energy": (cmd_energy, "area and Willmore energy with a grid-doubling check", (64, 64), 4),
+    "classify": (cmd_classify, "label the surface by its grid-max residuals", (16, 16), 1),
 }
 
 
@@ -632,7 +633,7 @@ def main(argv=None) -> int:
         description="Verification toolkit for Legendrian surfaces in the unit 5-sphere.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, (_, text) in _COMMANDS.items():
+    for name, (_, text, _, _) in _COMMANDS.items():
         _add_common_arguments(subparsers.add_parser(name, help=text))
     try:
         args = parser.parse_args(argv)

@@ -529,7 +529,7 @@ class ChartFrame:
     def form(self, N) -> np.ndarray:
         """The chart quadratic form <B_ij, N> of an ambient vector field N, indexed [i, j]."""
         B = self.B
-        return np.array([[ambient.real_inner(B[i, j], N) for j in range(2)] for i in range(2)])
+        return np.array(_symmetric(lambda i, j: ambient.real_inner(B[i, j], N)))
 
     # --- jet calculus on the surface ---
 

@@ -5,7 +5,7 @@ command can print.  A row holds the check's name, its family, its default
 tolerance, its description, the per-point residual it reads and the mask of
 points it reads it at.  A CLI run resolves the registry once: a copy of
 ``CHECKS`` whose every tolerance is the ``[tolerances]`` override or the
-default, times the tolerance scale.  ``Check.result`` is the one place a
+default, times the tolerance scale.  ``Check.evaluate`` is the one place a
 residual is judged against a tolerance.  Each command iterates the rows of its
 families, in registry order:
 
@@ -20,13 +20,14 @@ families, in registry order:
 
 A row with no residual reads the entry of its name in a dict source.
 
-A mask selects all points, the csL-gated points (all or none: the batch's
-max |Div(JH)| must be below ``CSL_GATE``), the csL-gated points with
+A mask selects all points, the csL-gated points (all or none: every
+|Div(JH)| of the batch must be below ``CSL_GATE``), the csL-gated points with
 |H| >= ``SMALL_H``, or the points whose Willmore-Legendrian residual is below
-1e-6.  Points outside the mask count as skipped; a row whose mask selects no
-point is SKIP, and its residual is not computed.  A name may appear in two
-families: ``legendrian_defect`` is both a grid row and an identity row, and
-one ``[tolerances]`` override sets both.
+1e-6.  Points outside the mask count as skipped, and a row whose mask
+selects no point does not compute its residual.  A row with no point left
+(its mask selected none, or its batch held none) is SKIP.  A name may appear
+in two families: ``legendrian_defect`` is both a grid row and an identity
+row, and one ``[tolerances]`` override sets both.
 
 Derivative strategy (the accuracy budget everything below leans on):
 
@@ -121,7 +122,6 @@ class CheckResult:
 class ResidualReport:
     """Bundle of checks for one surface plus the sampling descriptor."""
 
-    surface: str
     descriptor: str
     checks: tuple[CheckResult, ...]
 
@@ -149,35 +149,26 @@ class Check:
     mask: Callable | None = None
 
     def evaluate(self, source) -> CheckResult:
-        """The check on ``source``; with no point masked in, the residual is not computed."""
+        """The check on ``source``: the one place a residual meets a tolerance.
+
+        Points outside the mask count as skipped, and with none masked in the
+        residual is not computed.  A check with no point left, whether its
+        mask selected none or its batch held none, is SKIP; otherwise it passes
+        when the max |residual| is below the row's tolerance.
+        """
         used = None if self.mask is None else self.mask(source)
         if used is not None and not used.any():
-            return self.result(np.zeros(used.size), used)
-        residual = source[self.name] if self.residual is None else self.residual(source)
-        return self.result(residual, used)
-
-    def result(self, residuals, used=None) -> CheckResult:
-        """Aggregate per-point residuals (or one scalar) into this check's result.
-
-        Points outside ``used`` count as skipped; a check with no point left
-        is SKIP, otherwise it passes when the max |residual| is below the
-        row's tolerance.  This is the one place a residual meets a tolerance.
-        """
-        residuals = np.atleast_1d(np.asarray(residuals, dtype=float))
-        n = residuals.size
-        if used is not None:
-            residuals = residuals[used]
-        if residuals.size == 0:
+            n, kept = used.size, np.empty(0)
+        else:
+            residual = source[self.name] if self.residual is None else self.residual(source)
+            residual = np.atleast_1d(np.asarray(residual, dtype=float))
+            n, kept = residual.size, residual if used is None else residual[used]
+        if kept.size == 0:
             return CheckResult(self.name, self.description, n, n, 0.0, self.tolerance, "SKIP")
-        max_r = float(np.max(np.abs(residuals)))
+        max_r = float(np.max(np.abs(kept)))
+        status = "PASS" if max_r < self.tolerance else "FAIL"
         return CheckResult(
-            name=self.name,
-            description=self.description,
-            n_points=n,
-            n_skipped=n - residuals.size,
-            max_residual=max_r,
-            tolerance=self.tolerance,
-            status="PASS" if max_r < self.tolerance else "FAIL",
+            self.name, self.description, n, n - kept.size, max_r, self.tolerance, status
         )
 
 
@@ -333,8 +324,8 @@ def _sasakian_J(fr) -> np.ndarray:
 
 
 def _csl_gated(fr) -> np.ndarray:
-    """Every point when the batch's max |Div(JH)| is below CSL_GATE, else none."""
-    return np.full(fr.xs.size, bool(np.max(np.abs(fr.div_JH)) < CSL_GATE))
+    """Every point when each |Div(JH)| of the batch is below CSL_GATE, else none."""
+    return np.full(fr.xs.size, bool(np.all(np.abs(fr.div_JH) < CSL_GATE)))
 
 
 def _csl_gated_away_from_zero_H(fr) -> np.ndarray:
@@ -462,7 +453,6 @@ def identity_suite(
     xs, ys = (np.asarray(a, dtype=float) for a in points)
     fr = ChartFrame.of(spec, xs, ys, degree=5)
     return ResidualReport(
-        surface=spec.label,
         descriptor=f"{xs.size} seeded interior points",
         checks=tuple(row.evaluate(fr) for row in checks_in("identity", registry)),
     )
@@ -631,7 +621,6 @@ def run_verification(
     xs, ys = sample_points(spec, n_sample, seed)
     suite = identity_suite(spec, (xs, ys), registry)
     return ResidualReport(
-        surface=spec.label,
         descriptor=f"{nx}x{ny} half-offset grid; {n_sample} seeded points (seed {seed})",
         checks=checks + suite.checks,
     )

@@ -37,10 +37,11 @@ Chart periods are fixed at 2*pi for the torus families regardless of
 parameter rationality; quantities integrated over the chart are therefore
 "per chart rectangle" (the immersed torus may wrap the chart several times).
 
-Periodic wrap: in-domain coordinates are returned bitwise unchanged; an
-out-of-domain coordinate is reduced with n = floor((t-lo)/period), which for
-|n| <= 2 (every stencil and grid use) reproduces the exact IEEE-remainder
-result.
+Periodic wrap (``point_report`` only: stencils and grids evaluate on the
+universal cover and never wrap): in-domain coordinates are returned bitwise
+unchanged; an out-of-domain coordinate is reduced with
+n = floor((t-lo)/period), which for |n| <= 2 reproduces the exact
+IEEE-remainder result.
 """
 
 from __future__ import annotations
@@ -288,14 +289,15 @@ def evaluate_jet_batch(spec: ImmersionSpec, xs, ys, degree: int):
                 )
             raise DivideByZeroJetError(named, exc.magnitude) from None
     F = jets.vector(*F)
-    norm_sq = np.sum(np.abs(F.value) ** 2, axis=0)
-    largest, point = worst_point(np.abs(np.sqrt(norm_sq) - 1.0), xs, ys, np.argmax)
-    if not largest <= SPHERE_TOL:  # a NaN value fails too
+    deviation = np.abs(np.sqrt(np.sum(np.abs(F.value) ** 2, axis=0)) - 1.0)
+    if not np.all(deviation <= SPHERE_TOL):  # a NaN value fails too
+        largest, point = worst_point(deviation, xs, ys, np.argmax)
         raise NotOnSphereError(
             f"|F| deviates from 1 by {largest:.3e} at chart point {point} on {spec.label}"
         )
-    finite, point = worst_point(np.isfinite(F.coeffs).all(axis=(0, 1)), xs, ys, np.argmin)
-    if not finite:
+    finite = np.isfinite(F.coeffs).all(axis=(0, 1))
+    if not np.all(finite):
+        _, point = worst_point(finite, xs, ys, np.argmin)
         raise NotFiniteError(
             f"F has a non-finite derivative at chart point {point} on {spec.label}"
         )

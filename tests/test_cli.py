@@ -89,6 +89,68 @@ def test_verify_text_format_smoke(capsys):
     assert "result: PASS" in out
 
 
+@pytest.mark.parametrize("command", ["verify", "classify", "energy", "table"])
+def test_the_text_report_prints_the_json_report_values(capsys, command):
+    # Every number the text prints is the JSON value of the same run, in the text's format.
+    argv = [command, "--surface", "mironov", "--grid", "8x8"]
+    rc, payload = _run_json(capsys, [*argv, "--format", "json"])
+    assert cli.main(argv) == rc
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [
+        f"legendrian-lab {command} -- mironov(a=1, b=2, c=1)",
+        "grid 8x8, seed 0, workers 1, tolerance scale 1",
+    ]
+    rows = payload["checks"]
+    names = [row["name"] for row in rows]
+    families = ("grid", "identity") if command == "verify" else (command,)
+    registry = [c.name for family in families for c in operators.checks_in(family)]
+    if command == "table":
+        assert names == [row["name"] for row in payload["table"]]
+        registry = [name for name in registry if name in names]
+    assert names == registry
+    if command == "classify":
+        assert {row["status"] for row in rows} == {"yes", "no"}
+        assert lines[2:] == [
+            f"  {r['name']:<22} {r['status']:<3} ({r['paper_ref']} = {r['value']:.5e}, "
+            f"threshold {r['tolerance']:.1e})"
+            for r in rows
+        ]
+        return
+    body, check_lines, result = lines[2 : -len(rows) - 1], lines[-len(rows) - 1 : -1], lines[-1]
+    for line, r in zip(check_lines, rows):
+        assert line.startswith(
+            f"[{r['status']:^4}] {r['name']:<28} value={r['value']:12.5e} tol={r['tolerance']:8.1e}"
+        )
+        assert line.endswith(f"  {r['paper_ref']}")
+    agg = payload["aggregates"]
+    assert result == (
+        f"result: {'PASS' if agg['all_pass'] else 'FAIL'} ({agg['n_checks']} checks, "
+        f"{agg['n_failed']} failed, {agg['n_skipped']} skipped)"
+    )
+    if command == "verify":
+        assert {row["status"] for row in rows} == {"PASS", "SKIP"}
+        assert body == [payload["descriptor"]]
+    elif command == "energy":
+        q = payload["quantities"]
+        assert [row["status"] for row in rows] == ["FAIL"]
+        assert body == [
+            f"area   = {q['area']!r}",
+            f"energy = {q['energy']!r}",
+            f"refined (16x16): area = {q['area_refined']!r}, energy = {q['energy_refined']!r}",
+        ]
+    else:
+        assert body == ["representative point: (x, y) = (0, 0)"] + [
+            line
+            for row, check in zip(payload["table"], rows)
+            for line in (
+                f"  {row['name']}:",
+                f"    closed form: {row['closed_form']}",
+                f"    computed:    {row['computed']}",
+                f"    grid-max deviation: {check['value']:.5e}",
+            )
+        ]
+
+
 def test_tolerance_scale_environment_variable_fails_the_run(capsys, monkeypatch):
     monkeypatch.setenv("LEGLAB_TOLERANCE_SCALE", "1e-6")
     rc, payload = _run_json(
@@ -925,3 +987,43 @@ def test_help_still_prints_usage_and_exits_0(capsys):
     assert stop.value.code == 0 and captured.err == ""
     assert captured.out.startswith("usage: legendrian-lab verify [-h] [--surface SURFACE]")
     assert "catalog family: calabi, mironov, geodesic_sphere" in captured.out
+
+
+_CONTROL_F1 = CONTROL_EXPR.splitlines()[0]
+
+
+@pytest.mark.parametrize(
+    "flag, edit, code, fragment",
+    [
+        (["--grid", "16"], None, "ERR_VALIDATION", "grid '16' is not of the form NXxNY"),
+        ([], ("", "x_range = 1\n"), "ERR_VALIDATION", "x_range: expected 'lo, hi', got '1'"),
+        ([], ("periodic = true, false", "periodic = true"), "ERR_VALIDATION",
+         "control.expr: periodic must be 'bool, bool'"),
+        ([], ("periodic = true, false", "periodic = true, maybe"), "ERR_VALIDATION",
+         "periodic y: expected true/false, got 'maybe'"),
+        ([], ("f3 = sin(y)\n", ""), "ERR_VALIDATION", "control.expr: missing expression keys f3"),
+        ([], ("", "params = a\n"), "ERR_VALIDATION",
+         "parameter 'a' is not of the form name=value"),
+        ([], ("", "junk\n"), "ERR_VALIDATION",
+         "control.expr:6: expected 'key = value', got 'junk'"),
+        ([], (_CONTROL_F1, "f1 = sin(x"), "ERR_SYNTAX",
+         "expected ')', found 'end of input' (at offset 5)"),
+        ([], (_CONTROL_F1, "f1 = x)"), "ERR_SYNTAX", "unexpected trailing ')' (at offset 1)"),
+        ([], ("", "x_range = 1, 1\n"), "ERR_PARAM_CONSTRAINT",
+         "chart_domain must be a nondegenerate rectangle"),
+    ],
+    ids=["grid_side", "x_range_one_number", "periodic_one_flag", "periodic_not_bool",
+         "missing_f3", "params_not_name_value", "junk_line", "unclosed_call",
+         "trailing_paren", "degenerate_x_range"],
+)
+def test_a_refused_setting_exits_2_with_one_error_line(
+    capsys, tmp_path, flag, edit, code, fragment
+):
+    old, new = edit or ("", "")
+    path = tmp_path / "control.expr"
+    path.write_text(CONTROL_EXPR.replace(old, new, 1) if old else CONTROL_EXPR + new)
+    rc = cli.main(["verify", "--expr-file", str(path), *flag])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "")
+    assert captured.err.startswith(f"error: {code}: ") and fragment in captured.err
+    assert captured.err.count("\n") == 1

@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from legendrian_lab import exprlang, jets, surfaces
 from legendrian_lab.errors import (
     DivideByZeroJetError,
     DomainError,
+    LabError,
     NonAnalyticError,
     SyntaxParseError,
     ValidationError,
@@ -277,6 +278,26 @@ _asts = st.recursive(
 @settings(max_examples=80, deadline=None)
 def test_pretty_printed_ast_reparses_identically(ast):
     assert exprlang.parse(exprlang.to_source(ast)) == ast
+
+
+_POINTS = (np.array([0.3, -1.1, 2.5]), np.array([0.7, 1.9, -0.4]))
+_PARAMS = {"a": 0.7, "b": -1.3, "c": 2.2, "r1": 0.8, "r4": -0.6}
+
+
+@given(_asts)
+@settings(max_examples=200, deadline=None)
+def test_eval_jet_at_degree_zero_agrees_with_eval_complex(ast):
+    # Draws where either side raises or leaves the finite numbers say nothing.
+    try:
+        with np.errstate(all="raise"):
+            batch = exprlang.eval_jet(ast, *jets.lift_point(*_POINTS, 0), _PARAMS).value
+            direct = np.array(
+                [exprlang.eval_complex(ast, x, y, _PARAMS) for x, y in zip(*_POINTS)]
+            )
+    except (LabError, ArithmeticError):
+        assume(False)
+    assume(np.all(np.isfinite(batch)) and np.all(np.isfinite(direct)))
+    assert np.all(np.abs(batch - direct) <= 1e-12 * (1.0 + np.abs(direct)))
 
 
 def test_expression_surface_rejects_invalid_input_with_diagnostics():

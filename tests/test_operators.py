@@ -283,6 +283,12 @@ def test_energy_grid_is_validated():
             energy(CALABI, (3, 8))
 
 
+def test_the_verification_grid_is_validated():
+    with pytest.raises(GridError, match="verification grid 3x8 too small") as err:
+        operators.grid_residuals(CALABI, 3, 8)
+    assert err.value.code == "ERR_GRID"
+
+
 #: A both-periodic expression chart whose x axis starts off zero: the flat
 #: torus with x rescaled to the period 4.2 of x_range = -1.3, 2.9.
 SHIFTED_TORUS = surfaces.from_expression(
@@ -532,6 +538,18 @@ def test_a_row_with_no_residual_reads_its_own_name_from_a_dict_source():
     assert [row.name for row in named] == [
         "legendrian_defect", "csl_residual", "csl_willmore_residual", "obstruction_trace",
     ]
+
+
+def test_an_empty_batch_is_a_batch_of_zero_points():
+    # A row with no point left is SKIP, whether its mask selected none or its
+    # batch held none; the evaluation gates look for a worst point only to
+    # name one that fails.
+    assert surfaces.evaluate_jet_batch(CALABI, [], [], 2).value.shape == (3, 0)
+    suite = operators.identity_suite(MIRONOV, ([], []))
+    assert len(suite.checks) == 15
+    assert {(c.status, c.n_points, c.n_skipped) for c in suite.checks} == {("SKIP", 0, 0)}
+    report = operators.run_verification(MIRONOV, 4, 4, n_sample=0)
+    assert report.checks[-15:] == suite.checks
 
 
 @pytest.mark.parametrize("name", ALL_MEMBERS + ("control",))

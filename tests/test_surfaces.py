@@ -86,6 +86,8 @@ def test_parameter_constraints_are_enforced():
         surfaces.mironov(0, 2, 1)
     with pytest.raises(ParamConstraintError):
         surfaces.mironov(1, 2, -3)
+    with pytest.raises(ParamConstraintError, match="exactly 3 components"):
+        surfaces.from_expression(("cos(x)", "sin(x)"), {}, DOM)
 
 
 def test_surface_by_name_fills_documented_defaults():
@@ -150,6 +152,12 @@ def test_periodic_wrap_is_bitwise_exact():
 def test_wrap_coordinate_is_identity_in_domain():
     x = 1.2345678
     assert surfaces.wrap_coordinate(x, 0.0, TWO_PI) == x
+
+
+def test_wrap_coordinate_maps_an_array_elementwise():
+    out = surfaces.wrap_coordinate(np.array([7.0, -0.5, 1.0]), 0.0, TWO_PI)
+    assert isinstance(out, np.ndarray)
+    assert out.tolist() == [7.0 - TWO_PI, TWO_PI - 0.5, 1.0]
 
 
 def test_wrap_point_rejects_out_of_range_on_non_periodic_axes():
