@@ -23,15 +23,6 @@ MEMBERS = [
     ("twisted torus, minimal member", surfaces.mironov(1, 2, 3), (0.4, 0.9)),
 ]
 
-THRESHOLDS = {
-    "legendrian_defect": 1e-10,
-    "norm_H": 1e-8,
-    "csl_residual": 1e-7,
-    "willmore_legendrian_residual": 1e-8,
-    "csl_willmore_residual": 1e-5,
-}
-
-
 def matrix_line(m: np.ndarray) -> str:
     return "[[{: .6f}, {: .6f}], [{: .6f}, {: .6f}]]".format(*np.asarray(m).ravel())
 
@@ -50,11 +41,11 @@ def main() -> None:
         )
 
         maps = operators.grid_residuals(spec, 12, 12)
-        print("  grid-max residuals on a 12x12 sweep:")
-        for name, threshold in THRESHOLDS.items():
-            value = float(np.max(maps[name]))
-            verdict = "yes" if value < threshold else "no "
-            print(f"    {name:<30} {value:11.4e}   satisfied: {verdict}")
+        print("  grid-max residuals on a 12x12 sweep, judged by the classify checks:")
+        for check in operators.checks_in("classify"):
+            result = check.evaluate(maps)
+            verdict = "yes" if result.passed else "no "
+            print(f"    {result.name:<30} {result.max_residual:11.4e}   satisfied: {verdict}")
     print("=" * 72)
     print("Every member is Legendrian and solves the csL and csL-Willmore")
     print("equations; only the minimal members also solve the unconstrained")

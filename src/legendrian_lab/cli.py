@@ -495,7 +495,7 @@ def cmd_table(config: RunConfig) -> int:
         # x = 0 is the representative point the closed forms are usually quoted at.
         xs, ys = np.concatenate([[0.0], xs]), np.concatenate([[0.0], ys])
         read, rep = _mironov_table, "representative point: (x, y) = (0, 0)"
-    pairs = sweep(spec, xs, ys, 4, read)
+    pairs = sweep(spec, xs, ys, 2, read)
     # Each row's values at point 0; the check of its name judges |computed - closed|.
     rows = [
         {"name": name, "closed_form": closed[..., 0].tolist(),

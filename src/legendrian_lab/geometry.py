@@ -163,7 +163,7 @@ class ChartFrame:
         self.F = F.truncate(degree)  # ERR_DEGREE if F is too shallow
 
     @classmethod
-    def of(cls, spec: ImmersionSpec, xs, ys, degree: int = 4) -> ChartFrame:
+    def of(cls, spec: ImmersionSpec, xs, ys, degree: int) -> ChartFrame:
         """The frame of ``spec``, evaluated on the universal cover (see ``evaluate_jet_batch``);
         ``brioschi_curvature_fd`` evaluates the spec it keeps at its stencils."""
         fr = cls(evaluate_jet_batch(spec, xs, ys, degree), xs, ys, degree)

@@ -480,12 +480,12 @@ def sweep(
     ``read``, a module-level function of one ``ChartFrame``, returns a dict of
     arrays with the batch axis last.  Only those are kept, each frame is freed
     before the next block's is built, and they are concatenated in block
-    order.  With ``workers`` > 1 a pool of ``_pool_size`` processes maps the
-    same blocks, so serial and pooled results are the same blocks' values.
+    order; no points are one empty block, read to zero-point arrays.  With
+    ``workers`` > 1 a pool of ``_pool_size`` processes maps the same blocks.
     """
     blocks = [
         (spec, xs[lo : lo + BLOCK_POINTS], ys[lo : lo + BLOCK_POINTS], degree, read)
-        for lo in range(0, xs.size, BLOCK_POINTS)
+        for lo in range(0, max(xs.size, 1), BLOCK_POINTS)
     ]
     workers = _pool_size(workers, xs.size)
     if workers > 1:
@@ -541,7 +541,7 @@ def _energy_sums(weights, terms) -> tuple[float, float]:
     return area, energy
 
 
-def willmore_energy(spec: ImmersionSpec, grid: tuple[int, int] = (64, 64)):
+def willmore_energy(spec: ImmersionSpec, grid: tuple[int, int]):
     """(area, energy) per chart rectangle by ``_quadrature``'s rule.
 
     area = integral of sqrt(det g); energy = integral of (|H|^2/4 + 1)

@@ -71,7 +71,7 @@ SPHERE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class ImmersionSpec:
-    """Immutable description of one surface; construction validates params."""
+    """Immutable description of one surface; ``calabi``, ``mironov``, ``from_expression`` check params."""
 
     kind: str  # a CATALOG key, or "expression"
     params: dict[str, float]

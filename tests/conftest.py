@@ -79,18 +79,29 @@ def calabi_energy(members):
     return operators.energy_doubling(spec, (64, 64))
 
 
-@pytest.fixture
-def frame_widths(monkeypatch):
-    """The width of every frame that ``operators`` builds, in order."""
-    widths = []
+def _record_frames(monkeypatch, field):
+    """``field(xs, degree)`` of every frame that ``operators`` builds, in order."""
+    seen = []
 
     class RecordedFrame(geometry.ChartFrame):
         def __init__(self, F, xs, ys, degree):
-            widths.append(np.size(xs))
+            seen.append(field(xs, degree))
             super().__init__(F, xs, ys, degree)
 
     monkeypatch.setattr(operators, "ChartFrame", RecordedFrame)
-    return widths
+    return seen
+
+
+@pytest.fixture
+def frame_widths(monkeypatch):
+    """The width of every frame that ``operators`` builds, in order."""
+    return _record_frames(monkeypatch, lambda xs, degree: np.size(xs))
+
+
+@pytest.fixture
+def frame_degrees(monkeypatch):
+    """The degree of every frame that ``operators`` builds, in order."""
+    return _record_frames(monkeypatch, lambda xs, degree: degree)
 
 
 # -- acceptance summary --------------------------------------------------------

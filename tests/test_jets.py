@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legendrian_lab import jets
-from legendrian_lab.errors import DegreeError, DivideByZeroJetError, DomainError
+from legendrian_lab.errors import DegreeError, DivideByZeroJetError, DomainError, LabError
 
 
 def _sample(x, y):
@@ -204,6 +204,23 @@ def test_branch_cut_and_degenerate_divisions_raise():
         jets.constant(0.0, 2).reciprocal()
     with pytest.raises(DegreeError):
         jets.lift_point(0.0, 0.0, jets.MAX_DEGREE + 1)
+
+
+@pytest.mark.parametrize(
+    "refused, code",
+    [
+        (lambda: jets.Jet2(2, np.zeros(5)), "ERR_DEGREE"),
+        (lambda: jets.constant(1.0, 0).dx(), "ERR_ORDER"),
+        (lambda: jets.analytic("tan", jets.lift_point(0.5, 0.5, 2)[0]), "ERR_DOMAIN"),
+    ],
+    ids=["coefficient_count", "derivative_of_degree_0", "unknown_function"],
+)
+def test_a_refused_jet_operation_raises_its_error_code(refused, code):
+    # A degree-2 jet has 6 coefficients; a degree-0 jet has no derivative;
+    # analytic knows exp, sin, cos, sqrt and log only.
+    with pytest.raises(LabError) as err:
+        refused()
+    assert err.value.code == code
 
 
 @pytest.mark.parametrize("divisor", [0.0, 1e-15, -1e-15j, np.array([2.0, 0.0])])

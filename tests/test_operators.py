@@ -364,6 +364,22 @@ def test_no_grid_frame_is_wider_than_one_block(frame_widths, capsys, command, su
     assert sum(frame_widths) == n_points and len(frame_widths) == 2
 
 
+@pytest.mark.parametrize("surface", ["calabi", "mironov"])
+def test_table_sweeps_degree_2_frames_bitwise_a_degree_4_sweep(frame_degrees, capsys, surface):
+    # The table rows read g, B pairings, H, sigma and kappa: values that a
+    # degree-2 frame holds exactly as a degree-4 one does.  96x64 is two blocks.
+    assert cli.main(["table", "--surface", surface, "--grid", "96x64"]) == 0
+    capsys.readouterr()
+    assert frame_degrees == [2, 2]
+    spec = surfaces.surface_by_name(surface)
+    xs, ys = surfaces.grid_points(spec, 96, 64)
+    read = cli._calabi_table if surface == "calabi" else cli._mironov_table
+    shallow, deep = (operators.sweep(spec, xs, ys, d, read) for d in (2, 4))
+    assert shallow.keys() == deep.keys()
+    for key, pair in shallow.items():
+        assert np.array_equal(pair, deep[key]), key
+
+
 def test_grid_residuals_are_worker_count_independent():
     # 128x64 is two full blocks, so two workers really start, and the pooled
     # maps are bitwise the serial ones.
@@ -550,6 +566,25 @@ def test_an_empty_batch_is_a_batch_of_zero_points():
     assert {(c.status, c.n_points, c.n_skipped) for c in suite.checks} == {("SKIP", 0, 0)}
     report = operators.run_verification(MIRONOV, 4, 4, n_sample=0)
     assert report.checks[-15:] == suite.checks
+
+
+@pytest.mark.parametrize(
+    "spec, degree, read",
+    [
+        (CALABI, 2, operators._energy_terms),
+        (MIRONOV, 5, operators._residual_maps),
+        (CALABI, 2, cli._calabi_table),
+        (MIRONOV, 2, cli._mironov_table),
+    ],
+    ids=["energy_terms", "residual_maps", "calabi_table", "mironov_table"],
+)
+def test_an_empty_sweep_returns_each_reader_key_with_zero_points(spec, degree, read):
+    empty = np.array([])
+    maps = operators.sweep(spec, empty, empty, degree, read)
+    assert maps.keys() == read(geometry.ChartFrame.of(spec, [0.3], [0.7], degree)).keys()
+    assert {values.shape[-1] for values in maps.values()} == {0}
+    if read is operators._energy_terms:
+        assert operators._energy_sums((empty, empty), maps) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("name", ALL_MEMBERS + ("control",))
